@@ -12,11 +12,9 @@ from .errors import (
     EdgeListParseError,
     InvalidNodeError,
     InvalidSizeError,
-    NonConvergenceError,
     NoPositiveVectorError,
     NotIrreducibleError,
     RankDeficientError,
-    SingularMatrixError,
     SinkNodeError,
 )
 from .graphs import (
@@ -33,19 +31,11 @@ from .graphs import (
 from .linalg import (
     EigenDecomposition,
     LeastSquaresSolution,
-    SvdResult,
-    cond2,
     eig_general,
-    frobenius_norm,
-    inverse,
     lstsq,
-    matmul,
-    matvec,
     spectral_norm2,
-    svd,
 )
 from .markov import (
-    SpectralIndices,
     StationaryDistribution,
     TransitionOperator,
     asymmetry_index,
@@ -53,7 +43,6 @@ from .markov import (
     is_reversible,
     pi_inner,
     pi_norm,
-    spectral_indices,
     stationary,
     symmetrize,
     transition,
@@ -68,7 +57,6 @@ from .sampling import (
     random_bandlimited,
     random_sampling_set,
     reconstruct,
-    restriction,
     sample,
     select_band,
 )

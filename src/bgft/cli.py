@@ -36,8 +36,12 @@ SEED_NOISE = 2
 
 def read_signal(path) -> np.ndarray:
     """One complex value per line as `re im`; bare reals get im = 0."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise BgftError(f"cannot read signal file {path}: {exc.strerror or exc}")
     values = []
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -168,8 +172,31 @@ def cmd_diffuse(args, stream) -> None:
     emit_records(records, args.format, stream)
 
 
+def resolve_seed(flag) -> int:
+    """The --seed value, else env BGFT_SEED, else the default.
+
+    Seeds must be nonnegative integers (numpy's seed domain).
+    """
+    if flag is not None:
+        seed, source = flag, "--seed"
+    else:
+        raw = os.environ.get("BGFT_SEED")
+        if raw is None:
+            return DEFAULTS["seed"]
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise BgftError(f"BGFT_SEED must be an integer, got {raw!r}")
+        source = "BGFT_SEED"
+    if seed < 0:
+        raise BgftError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def run_reconstruction(basis, k, m, noise, seed):
     """One seeded sampling/reconstruction trial; returns the report."""
+    if not (1 <= k <= m <= basis.n):
+        raise BgftError(f"need 1 <= K <= m <= n, got K={k} m={m} n={basis.n}")
     omega = sampling.select_band(basis, k)
     x = sampling.random_bandlimited(basis, omega, 1000 * seed + SEED_SIGNAL)
     m_set = sampling.random_sampling_set(basis.n, m, 1000 * seed + SEED_SAMPLES)
@@ -187,8 +214,6 @@ def cmd_reconstruct(args, stream) -> None:
     g = build_graph(args)
     op = markov.transition(g)
     basis = transform.decompose(op)
-    if not (1 <= args.k <= args.m <= op.n):
-        raise BgftError(f"need 1 <= K <= m <= n, got K={args.k} m={args.m} n={op.n}")
     rep = run_reconstruction(basis, args.k, args.m, args.noise, args.seed)
     fields = dict(
         rel_err=rep.rel_err,
@@ -230,7 +255,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Biorthogonal spectral analysis of directed random-walk diffusion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_seed = int(os.environ.get("BGFT_SEED", DEFAULTS["seed"]))
 
     def common(p, signal=False, t=False):
         p.add_argument("--graph", default="perturbed-cycle",
@@ -245,7 +269,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=DEFAULTS["m"])
         p.add_argument("--tau", type=float, default=DEFAULTS["tau"])
         p.add_argument("--noise", type=float, default=DEFAULTS["noise"])
-        p.add_argument("--seed", type=int, default=env_seed)
+        p.add_argument("--seed", type=int, default=None,
+                       help="default: env BGFT_SEED, else 0")
         p.add_argument("--format", default="table", choices=["table", "csv", "json"])
         p.add_argument("--out", help="output path (default stdout)")
         if signal:
@@ -270,13 +295,18 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     buf = io.StringIO()
     try:
+        args.seed = resolve_seed(args.seed)
         COMMANDS[args.command](args, buf)
     except BgftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(buf.getvalue())
     return 0

@@ -5,16 +5,8 @@ class BgftError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonConvergenceError(BgftError):
-    """Iterative eigenvalue/SVD kernel exceeded its iteration budget."""
-
-
 class DefectiveMatrixError(BgftError):
     """Matrix is numerically non-diagonalizable (no reliable biorthogonal basis)."""
-
-
-class SingularMatrixError(BgftError):
-    """Matrix is singular to working precision."""
 
 
 class SinkNodeError(BgftError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeListParseError, InvalidNodeError, InvalidSizeError
+from .errors import BgftError, EdgeListParseError, InvalidNodeError, InvalidSizeError
 
 
 @dataclass(frozen=True)
@@ -153,4 +153,7 @@ def load_graph(path) -> DirectedGraph:
     """Dispatch on extension: .mtx is Matrix Market, anything else edge list."""
     if str(path).endswith(".mtx"):
         return load_matrix_market(path)
-    return load_edge_list(path)
+    try:
+        return load_edge_list(path)
+    except OSError as exc:
+        raise BgftError(f"cannot read graph file {path}: {exc.strerror or exc}")

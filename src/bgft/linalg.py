@@ -1,10 +1,13 @@
-"""Dense complex linear-algebra kernels with deterministic conventions.
+"""Dense linear-algebra kernels with deterministic conventions.
 
-Matrices are plain ``numpy.ndarray`` values (any real/complex dtype on input,
-complex128 internally).  The kernels here wrap LAPACK via numpy but enforce the
-conventions the rest of the toolkit relies on: deterministic eigenvalue
-ordering, unit-norm phase-fixed eigenvector columns, re-orthonormalized
-degenerate clusters, and explicit detection of numerically defective input.
+Matrices are plain ``numpy.ndarray`` values.  Real input stays float64 all the
+way into LAPACK (dgeev, not zgeev, for a real transition operator, which also
+returns exact conjugate pairs); complex input is complex128.  Eigenvalues and
+eigenvectors are always returned as complex128.  The kernels here wrap LAPACK
+via numpy but enforce the conventions the rest of the toolkit relies on:
+deterministic eigenvalue ordering, unit-norm phase-fixed eigenvector columns,
+re-orthonormalized degenerate clusters, and explicit detection of numerically
+defective input.
 
 Sizes up to n = 512 are supported and tested; larger inputs work but are
 limited only by memory and O(n^3) runtime.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveMatrixError, SingularMatrixError
+from .errors import DefectiveMatrixError
 
 # Eigenvalues closer than this are treated as one degenerate cluster.
 CLUSTER_TOL = 1e-8
@@ -27,8 +30,10 @@ RANK_RCOND = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and convert input to a 2-d complex128 array."""
-    m = np.asarray(a, dtype=complex)
+    """Validate and convert input to a 2-d array: complex128 if the input is
+    complex, float64 otherwise."""
+    m = np.asarray(a)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -67,27 +72,14 @@ class EigenDecomposition:
 
 
 @dataclass(frozen=True)
-class SvdResult:
-    singular_values: np.ndarray
-    u: np.ndarray | None = None
-    vh: np.ndarray | None = None
-
-    @property
-    def sigma_max(self) -> float:
-        return float(self.singular_values[0])
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.singular_values[-1])
-
-
-@dataclass(frozen=True)
 class LeastSquaresSolution:
-    """Minimum-norm least-squares solution with rank metadata."""
+    """Minimum-norm least-squares solution with rank metadata and the
+    singular values (descending) of the matrix it solved with."""
 
     coeffs: np.ndarray
     rank: int
     rank_deficient: bool
+    singular_values: np.ndarray
 
 
 def _normalize_columns(v: np.ndarray) -> np.ndarray:
@@ -118,6 +110,8 @@ def eig_general(m) -> EigenDecomposition:
     n = m.shape[0]
 
     lam, v = np.linalg.eig(m)
+    lam = lam.astype(complex)
+    v = v.astype(complex)
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
     v = v[:, order]
@@ -165,64 +159,25 @@ def eig_general(m) -> EigenDecomposition:
     )
 
 
-def svd(m, compute_vectors: bool = False) -> SvdResult:
-    m = as_matrix(m)
-    if compute_vectors:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        return SvdResult(singular_values=s, u=u, vh=vh)
-    s = np.linalg.svd(m, compute_uv=False)
-    return SvdResult(singular_values=s)
-
-
-def cond2(m) -> float:
-    """2-norm condition number sigma_max / sigma_min; +inf when singular."""
-    s = svd(m).singular_values
-    if s[-1] <= 1e-14 * s[0]:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
 def spectral_norm2(m) -> float:
-    return float(svd(m).singular_values[0])
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
-
-
-def matmul(a, b) -> np.ndarray:
-    return as_matrix(a) @ as_matrix(b)
-
-
-def matvec(a, x) -> np.ndarray:
-    a = as_matrix(a)
-    return a @ as_vector(x, a.shape[1])
-
-
-def inverse(m) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("inverse requires a square matrix")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= 1e-14 * s[0]:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision "
-            f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-        )
-    return np.linalg.inv(m)
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
 def lstsq(b, y) -> LeastSquaresSolution:
     """Minimum-norm least-squares solve of b @ c ~= y.
 
-    Rank is decided by the toolkit-wide threshold sigma_i > RANK_RCOND *
-    sigma_max; deficiency is flagged, never raised.
+    Computed from one SVD of b, whose singular values are returned with the
+    solution.  Rank is decided by the toolkit-wide threshold sigma_i >
+    RANK_RCOND * sigma_max; deficiency is flagged, never raised.
     """
     b = as_matrix(b)
     y = as_vector(y, b.shape[0])
-    coeffs, _, rank, _ = np.linalg.lstsq(b, y, rcond=RANK_RCOND)
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    rank = int(np.count_nonzero(s > RANK_RCOND * s[0]))
+    coeffs = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ y) / s[:rank])
     return LeastSquaresSolution(
         coeffs=coeffs,
-        rank=int(rank),
-        rank_deficient=bool(rank < b.shape[1]),
+        rank=rank,
+        rank_deficient=rank < b.shape[1],
+        singular_values=s,
     )

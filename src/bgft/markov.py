@@ -4,6 +4,7 @@ machinery, and the asymmetry / non-normality indices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,12 @@ REVERSIBILITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TransitionOperator:
-    """Row-stochastic P together with its diffusion generator I - P."""
+    """Row-stochastic P together with its diffusion generator I - P.
+
+    eig is the one eigendecomposition of P, computed on first use and shared
+    by the biorthogonal basis (transform.decompose) and the stationary
+    distribution.
+    """
 
     p: np.ndarray
     l_rw: np.ndarray
@@ -29,6 +35,10 @@ class TransitionOperator:
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+    @cached_property
+    def eig(self) -> linalg.EigenDecomposition:
+        return linalg.eig_general(self.p)
 
 
 @dataclass(frozen=True)
@@ -40,12 +50,6 @@ class StationaryDistribution:
     @property
     def pi_diag_sqrt(self) -> np.ndarray:
         return np.sqrt(self.pi)
-
-
-@dataclass(frozen=True)
-class SpectralIndices:
-    alpha: float
-    delta: float
 
 
 def transition(g: DirectedGraph) -> TransitionOperator:
@@ -81,20 +85,15 @@ def departure_from_normality(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m) / den)
 
 
-def spectral_indices(m) -> SpectralIndices:
-    return SpectralIndices(
-        alpha=asymmetry_index(m), delta=departure_from_normality(m)
-    )
-
-
 def stationary(op: TransitionOperator) -> StationaryDistribution:
     """Left eigenvector of P for the eigenvalue closest to 1, sum-normalized.
 
-    Computed with the general eigensolver on P^T (works for periodic chains
-    where power iteration does not converge).  Raises NotIrreducibleError if
+    Read from the row of the left dual U* = V^{-1} of the operator's cached
+    eigendecomposition (op.eig), so no second solve is needed; unlike power
+    iteration this works for periodic chains.  Raises NotIrreducibleError if
     eigenvalue 1 is not simple or pi has a nonpositive entry.
     """
-    dec = linalg.eig_general(op.p.T)
+    dec = op.eig
     dist = np.abs(dec.eigenvalues - 1.0)
     k = int(np.argmin(dist))
     near_one = np.count_nonzero(dist <= 1e-8)
@@ -102,7 +101,7 @@ def stationary(op: TransitionOperator) -> StationaryDistribution:
         raise NotIrreducibleError(
             f"eigenvalue 1 has multiplicity {near_one}; chain is not irreducible"
         )
-    v = dec.right_vectors[:, k]
+    v = dec.left_dual[k, :]
     if np.max(np.abs(v.imag)) > 1e-8 * np.max(np.abs(v)):
         raise NoPositiveVectorError("stationary eigenvector is not real")
     pi = v.real / v.real.sum()

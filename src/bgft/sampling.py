@@ -1,7 +1,8 @@
 """Bandlimited signal models, sampling sets, and least-squares reconstruction.
 
 A signal is band-limited to a mode set Omega when it lies in the span of the
-corresponding right eigenvectors V_Omega.  Sampling restricts to a node set M;
+corresponding right eigenvectors V_Omega.  Sampling restricts to a node set M
+(the restriction P_M is applied as row indexing, never materialized);
 reconstruction solves min_c ||P_M V_Omega c - y||_2 and reports the stability
 certificates sigma_min(P_M V_Omega), cond(P_M V_Omega), and the theoretical
 noise amplification bound.
@@ -84,16 +85,6 @@ def random_bandlimited(basis: BgftBasis, omega: BandSupport, rng_seed: int) -> n
     return band_vectors(basis, omega) @ c
 
 
-def restriction(n: int, m_set: SamplingSet) -> np.ndarray:
-    """Binary restriction operator: row r selects node m_set.nodes[r]."""
-    if m_set.nodes[-1] >= n:
-        raise InvalidSizeError(f"node {m_set.nodes[-1]} out of range for n={n}")
-    p = np.zeros((m_set.m, n))
-    for r, idx in enumerate(m_set.nodes):
-        p[r, idx] = 1.0
-    return p
-
-
 def sample(x, m_set: SamplingSet) -> np.ndarray:
     x = linalg.as_vector(x)
     return x[list(m_set.nodes)]
@@ -124,7 +115,7 @@ def reconstruct(
     sol = linalg.lstsq(b, y)
     x_hat = v_o @ sol.coeffs
 
-    sb = np.linalg.svd(b, compute_uv=False)
+    sb = sol.singular_values
     sigma_min_b = float(sb[-1])
     cond_b = float("inf") if sb[-1] <= 1e-14 * sb[0] else float(sb[0] / sb[-1])
 

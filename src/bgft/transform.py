@@ -119,8 +119,8 @@ class EnergyReport:
 
 
 def decompose(op: TransitionOperator) -> BgftBasis:
-    """Eigendecompose P and attach the decay-rate mode ordering."""
-    eig = linalg.eig_general(op.p)
+    """Attach the decay-rate mode ordering to P's eigendecomposition."""
+    eig = op.eig
     lam = eig.eigenvalues
     freq = 1.0 - lam.real
     order = np.lexsort((lam.imag, np.abs(lam.imag), freq))

@@ -157,6 +157,47 @@ class TestReconstruct:
         assert run(["reconstruct", "--k", "30", "--m", "20"], out) == 1
 
 
+BAD_INPUTS = [
+    # argv, BGFT_SEED (None: unset), expected message fragment
+    pytest.param(["table1"], "abc", "BGFT_SEED must be an integer, got 'abc'",
+                 id="env-seed-not-int"),
+    pytest.param(["reconstruct", "--seed", "-1"], None,
+                 "--seed must be >= 0, got -1", id="negative-seed-flag"),
+    pytest.param(["reconstruct"], "-3", "BGFT_SEED must be >= 0, got -3",
+                 id="negative-env-seed"),
+    pytest.param(["filter", "{missing}"], None, "cannot read signal file",
+                 id="missing-signal-file"),
+    pytest.param(["indices", "--graph", "file", "--input", "{missing}"], None,
+                 "cannot read graph file", id="missing-graph-file"),
+    pytest.param(["table1", "--k", "30", "--m", "20"], None,
+                 "need 1 <= K <= m <= n", id="table1-k-above-m"),
+    pytest.param(["indices", "--out", "{missing}/r.json"], None, "cannot write",
+                 id="unwritable-out"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,env_seed,message", BAD_INPUTS)
+    def test_error_line_and_exit_1(self, argv, env_seed, message, tmp_path,
+                                   monkeypatch, capsys):
+        if env_seed is None:
+            monkeypatch.delenv("BGFT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BGFT_SEED", env_seed)
+        missing = str(tmp_path / "missing")
+        assert main([a.replace("{missing}", missing) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_help_with_bad_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("BGFT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: bgft" in capsys.readouterr().out
+
+
 class TestTable1:
     def test_deterministic_columns(self, tmp_path):
         out = tmp_path / "t.json"

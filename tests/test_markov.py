@@ -113,6 +113,28 @@ class TestStationary:
             bgft.stationary(bgft.transition(bgft.DirectedGraph(a)))
 
 
+class TestOneEigendecomposition:
+    def test_one_real_lapack_eig_per_operator(self, monkeypatch):
+        lapack_eig = np.linalg.eig
+        inputs = []
+
+        def counting_eig(a):
+            inputs.append(np.asarray(a).dtype)
+            return lapack_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        g = bgft.add_directed_chord(bgft.directed_cycle(16), 5.0, 0, 8)
+        op = bgft.transition(g)
+        basis = bgft.decompose(op)
+        pi = bgft.stationary(op).pi
+        assert inputs == [np.dtype(np.float64)]
+        assert basis.eig is op.eig
+        assert basis.eigenvalues.dtype == basis.left_dual.dtype == np.complex128
+        # pi is the lambda = 1 row of the dual basis U* = V^{-1}
+        u1 = basis.left_dual[basis.order[0]]
+        assert_allclose(pi, u1.real / u1.real.sum(), atol=1e-15)
+
+
 class TestReversibility:
     def test_undirected_cycle_reversible(self):
         op = bgft.transition(bgft.undirected_cycle(8))

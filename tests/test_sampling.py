@@ -57,20 +57,22 @@ class TestRandomBandlimited:
 
 
 class TestRestriction:
+    """The restriction P_M is applied as row indexing by sample()."""
+
     def test_all_nodes_identity(self):
+        x = np.arange(5.0) + 1j
         m_set = bgft.SamplingSet(nodes=tuple(range(5)))
-        assert_allclose(bgft.restriction(5, m_set), np.eye(5))
+        assert_allclose(bgft.sample(x, m_set), x)
 
     def test_single_row(self):
         m_set = bgft.SamplingSet(nodes=(2,))
-        p = bgft.restriction(4, m_set)
-        assert_allclose(p, [[0, 0, 1, 0]])
+        assert_allclose(bgft.sample([0, 0, 1, 0], m_set), [1])
 
     def test_indexing_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(10)
-        m_set = bgft.SamplingSet(nodes=(1, 4, 7))
-        assert_allclose(bgft.restriction(10, m_set) @ x, x[[1, 4, 7]])
+        m_set = bgft.SamplingSet(nodes=(7, 1, 4))
+        assert m_set.nodes == (1, 4, 7)
         assert_allclose(bgft.sample(x, m_set), x[[1, 4, 7]])
 
 
@@ -83,7 +85,10 @@ class TestReconstruct:
                                x_true=x)
         assert rep.rel_err <= 1e-6
         assert not rep.rank_deficient
-        assert rep.cond_b >= 1.0
+        b = bgft.band_vectors(perturbed_basis, omega)[list(m_set.nodes), :]
+        sb = np.linalg.svd(b, compute_uv=False)
+        assert rep.sigma_min_b == pytest.approx(sb[-1], rel=1e-12)
+        assert rep.cond_b == pytest.approx(sb[0] / sb[-1], rel=1e-12)
 
     def test_zero_signal_convention(self, perturbed_basis):
         omega = bgft.select_band(perturbed_basis, 8)
@@ -124,9 +129,7 @@ class TestReconstruct:
         available = [i for i in range(64) if i not in nodes]
         for extra in available[:10]:
             m_set = bgft.SamplingSet(nodes=tuple(nodes))
-            b = bgft.restriction(64, m_set) @ bgft.band_vectors(
-                perturbed_basis, omega
-            )
+            b = bgft.band_vectors(perturbed_basis, omega)[list(m_set.nodes), :]
             sigma = np.linalg.svd(b, compute_uv=False)[-1]
             assert sigma >= prev - 1e-12
             prev = sigma

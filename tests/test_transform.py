@@ -39,6 +39,23 @@ class TestDecompose:
             assert basis.frequencies[k] <= 1e-8
             assert np.all(np.diff(basis.frequencies[basis.order]) >= -1e-15)
 
+    def test_conjugate_pairs_negative_imaginary_first(
+        self, canonical_bases, property_suite
+    ):
+        # A real P has exact conjugate pairs, so the documented tie-break
+        # decides their mode order: negative imaginary part first.
+        bases = [b for _, b in canonical_bases.values()]
+        bases += [b for _, b in property_suite]
+        pairs = 0
+        for basis in bases:
+            lam = basis.eigenvalues[basis.order]
+            for a, b in zip(lam[:-1], lam[1:]):
+                if abs(a.imag) > 1e-12 and abs(a - np.conj(b)) <= 1e-10:
+                    assert a.real == b.real
+                    assert a.imag < 0 < b.imag
+                    pairs += 1
+        assert pairs > 0
+
     def test_diagonalization(self, property_suite):
         for op, basis in property_suite:
             lam = np.diag(basis.eigenvalues)
