@@ -7,9 +7,10 @@ Subcommands:
   reconstruct  seeded bandlimited sampling/reconstruction experiment
   table1       three-row benchmark (undirected / directed / perturbed cycle)
 
-All randomness flows from one 64-bit seed (--seed, or env BGFT_SEED) through
-numpy's PCG64 generator (np.random.default_rng); sub-draws use documented
-offsets so runs are byte-reproducible.
+Each subcommand accepts only the flags it reads.  All randomness (only in
+reconstruct and table1) flows from one 64-bit seed (--seed, or env BGFT_SEED)
+through numpy's PCG64 generator (np.random.default_rng); sub-draws use
+documented offsets so runs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -54,6 +56,8 @@ def read_signal(path) -> np.ndarray:
                 im = float(parts[1]) if len(parts) == 2 else 0.0
             except ValueError:
                 raise BgftError(f"{path}:{lineno}: could not parse {line!r}")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise BgftError(f"{path}:{lineno}: non-finite value {line!r}")
             values.append(complex(re, im))
     if not values:
         raise BgftError(f"{path}: empty signal file")
@@ -65,21 +69,38 @@ def write_signal(x, stream) -> None:
         stream.write(f"{float(z.real)!r} {float(z.imag)!r}\n")
 
 
-def build_graph(args) -> graphs.DirectedGraph:
+GRAPH_KINDS = ("undirected-cycle", "directed-cycle", "perturbed-cycle")
+
+
+def generate_graph(kind, n, eps, chord_src=None, chord_dst=None) -> graphs.DirectedGraph:
+    """One of GRAPH_KINDS at size n; the perturbed cycle's chord of weight
+    eps runs chord_src -> chord_dst, by default 0 -> n//2."""
+    if kind == "undirected-cycle":
+        return graphs.undirected_cycle(n)
+    if kind == "directed-cycle":
+        return graphs.directed_cycle(n)
+    src = 0 if chord_src is None else chord_src
+    dst = n // 2 if chord_dst is None else chord_dst
+    return graphs.add_directed_chord(graphs.directed_cycle(n), eps, src, dst)
+
+
+def load_basis(args) -> transform.BgftBasis:
+    """The --graph/--input graph, its transition operator and its basis."""
     if args.graph == "file":
         if not args.input:
             raise BgftError("--graph file requires --input PATH")
-        return graphs.load_graph(args.input)
-    n = args.n
-    if args.graph == "undirected-cycle":
-        return graphs.undirected_cycle(n)
-    if args.graph == "directed-cycle":
-        return graphs.directed_cycle(n)
-    if args.graph == "perturbed-cycle":
-        src = args.chord_src if args.chord_src is not None else 0
-        dst = args.chord_dst if args.chord_dst is not None else n // 2
-        return graphs.add_directed_chord(graphs.directed_cycle(n), args.eps, src, dst)
-    raise BgftError(f"unknown graph kind {args.graph!r}")
+        g = graphs.load_graph(args.input)
+    else:
+        g = generate_graph(args.graph, args.n, args.eps, args.chord_src, args.chord_dst)
+    return transform.decompose(markov.transition(g))
+
+
+def load_signal(path, basis: transform.BgftBasis) -> np.ndarray:
+    """The signal file at path, checked to have one value per node."""
+    x = read_signal(path)
+    if x.shape[0] != basis.n:
+        raise BgftError(f"signal length {x.shape[0]} does not match n={basis.n}")
+    return x
 
 
 def emit_records(records, fmt, stream) -> None:
@@ -97,7 +118,6 @@ def emit_records(records, fmt, stream) -> None:
             writer.writerow([name] + [repr(fields[k]) for k in keys])
         return
     # human table
-    widths = [max(len("graph"), *(len(n) for n, _ in records))]
     rows = []
     for name, fields in records:
         rows.append([name] + [f"{fields[k]:.12g}" if isinstance(fields[k], float)
@@ -109,7 +129,8 @@ def emit_records(records, fmt, stream) -> None:
         stream.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
-def analysis_fields(op: markov.TransitionOperator, basis: transform.BgftBasis) -> dict:
+def analysis_fields(basis: transform.BgftBasis) -> dict:
+    op = basis.operator
     try:
         dist = markov.stationary(op)
         reversible = markov.is_reversible(op, dist)
@@ -129,41 +150,36 @@ def analysis_fields(op: markov.TransitionOperator, basis: transform.BgftBasis) -
 
 
 def cmd_indices(args, stream) -> None:
-    g = build_graph(args)
-    op = markov.transition(g)
-    basis = transform.decompose(op)
-    fields = analysis_fields(op, basis)
+    basis = load_basis(args)
+    fields = analysis_fields(basis)
     if args.format != "json":
         fields.pop("top_eigenvalues")
     emit_records([(args.graph, fields)], args.format, stream)
 
 
 def cmd_filter(args, stream) -> None:
-    g = build_graph(args)
-    op = markov.transition(g)
-    basis = transform.decompose(op)
-    x = read_signal(args.signal)
-    if x.shape[0] != op.n:
-        raise BgftError(f"signal length {x.shape[0]} does not match n={op.n}")
+    basis = load_basis(args)
+    x = load_signal(args.signal, basis)
     y = transform.apply_filter(basis, transform.FilterSpec.heat(args.tau), x)
-    print(f"||x||2 = {np.linalg.norm(x)!r} ||Hx||2 = {np.linalg.norm(y)!r}",
+    print(f"||x||2 = {float(np.linalg.norm(x))!r} ||Hx||2 = {float(np.linalg.norm(y))!r}",
           file=sys.stderr)
     write_signal(y, stream)
 
 
 def cmd_diffuse(args, stream) -> None:
-    g = build_graph(args)
-    op = markov.transition(g)
-    basis = transform.decompose(op)
-    x = read_signal(args.signal)
-    if x.shape[0] != op.n:
-        raise BgftError(f"signal length {x.shape[0]} does not match n={op.n}")
+    if args.t < 0:
+        raise BgftError(f"--t must be >= 0, got {args.t}")
+    basis = load_basis(args)
+    x = load_signal(args.signal, basis)
+    # Iterated here rather than with transform.diffuse_direct, which returns
+    # only the last iterate: every step's norm is checked and reported.
+    p = basis.operator.p
     records = []
     norm0 = np.linalg.norm(x)
     cur = x
     for s in range(args.t + 1):
         if s > 0:
-            cur = op.p @ cur
+            cur = p @ cur
         norm = float(np.linalg.norm(cur))
         bound = transform.iterate_bound(basis, s) * float(norm0)
         if norm > bound + 1e-8:
@@ -211,9 +227,7 @@ def run_reconstruction(basis, k, m, noise, seed):
 
 
 def cmd_reconstruct(args, stream) -> None:
-    g = build_graph(args)
-    op = markov.transition(g)
-    basis = transform.decompose(op)
+    basis = load_basis(args)
     rep = run_reconstruction(basis, args.k, args.m, args.noise, args.seed)
     fields = dict(
         rel_err=rep.rel_err,
@@ -227,16 +241,10 @@ def cmd_reconstruct(args, stream) -> None:
 
 
 def cmd_table1(args, stream) -> None:
-    n, eps = args.n, args.eps
-    rows = [
-        ("undirected-cycle", graphs.undirected_cycle(n)),
-        ("directed-cycle", graphs.directed_cycle(n)),
-        (f"perturbed-cycle(eps={eps:g})",
-         graphs.add_directed_chord(graphs.directed_cycle(n), eps, 0, n // 2)),
-    ]
     records = []
-    for name, g in rows:
-        op = markov.transition(g)
+    for kind in GRAPH_KINDS:
+        name = f"{kind}(eps={args.eps:g})" if kind == "perturbed-cycle" else kind
+        op = markov.transition(generate_graph(kind, args.n, args.eps))
         basis = transform.decompose(op)
         rep = run_reconstruction(basis, args.k, args.m, args.noise, args.seed)
         records.append((name, dict(
@@ -256,34 +264,39 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, signal=False, t=False):
-        p.add_argument("--graph", default="perturbed-cycle",
-                       choices=["undirected-cycle", "directed-cycle",
-                                "perturbed-cycle", "file"])
-        p.add_argument("--input", help="graph file (edge list or .mtx)")
+    def command(name, help, graph=True, trial=False, signal=False, format_help=None):
+        """A subcommand with the flags it reads: --graph/--input/--chord-*
+        to pick one graph, --k/--m/--noise/--seed for the sampling trial."""
+        p = sub.add_parser(name, help=help)
+        if graph:
+            p.add_argument("--graph", default="perturbed-cycle",
+                           choices=[*GRAPH_KINDS, "file"])
+            p.add_argument("--input", help="graph file (edge list or .mtx)")
+            p.add_argument("--chord-src", type=int, default=None)
+            p.add_argument("--chord-dst", type=int, default=None)
         p.add_argument("--n", type=int, default=DEFAULTS["n"])
         p.add_argument("--eps", type=float, default=DEFAULTS["eps"])
-        p.add_argument("--chord-src", type=int, default=None)
-        p.add_argument("--chord-dst", type=int, default=None)
-        p.add_argument("--k", type=int, default=DEFAULTS["k"])
-        p.add_argument("--m", type=int, default=DEFAULTS["m"])
-        p.add_argument("--tau", type=float, default=DEFAULTS["tau"])
-        p.add_argument("--noise", type=float, default=DEFAULTS["noise"])
-        p.add_argument("--seed", type=int, default=None,
-                       help="default: env BGFT_SEED, else 0")
-        p.add_argument("--format", default="table", choices=["table", "csv", "json"])
+        if trial:
+            p.add_argument("--k", type=int, default=DEFAULTS["k"])
+            p.add_argument("--m", type=int, default=DEFAULTS["m"])
+            p.add_argument("--noise", type=float, default=DEFAULTS["noise"])
+            p.add_argument("--seed", type=int, default=None,
+                           help="default: env BGFT_SEED, else 0")
+        p.add_argument("--format", default="table", choices=["table", "csv", "json"],
+                       help=format_help)
         p.add_argument("--out", help="output path (default stdout)")
         if signal:
             p.add_argument("signal", help="signal file, one 're im' pair per line")
-        if t:
-            p.add_argument("--t", type=int, default=20, help="diffusion steps")
+        return p
 
-    common(sub.add_parser("indices", help="spectral/asymmetry indices"))
-    common(sub.add_parser("filter", help="heat low-pass a signal"), signal=True)
-    common(sub.add_parser("diffuse", help="iterate diffusion, log norms"),
-           signal=True, t=True)
-    common(sub.add_parser("reconstruct", help="bandlimited sampling experiment"))
-    common(sub.add_parser("table1", help="three-graph benchmark table"))
+    command("indices", "spectral/asymmetry indices")
+    p = command("filter", "heat low-pass a signal", signal=True,
+                format_help="accepted but unused: the output is always a signal file")
+    p.add_argument("--tau", type=float, default=DEFAULTS["tau"])
+    p = command("diffuse", "iterate diffusion, log norms", signal=True)
+    p.add_argument("--t", type=int, default=20, help="diffusion steps")
+    command("reconstruct", "bandlimited sampling experiment", trial=True)
+    command("table1", "three-graph benchmark table", graph=False, trial=True)
     return parser
 
 
@@ -295,7 +308,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     buf = io.StringIO()
     try:
-        args.seed = resolve_seed(args.seed)
+        if "seed" in args:
+            args.seed = resolve_seed(args.seed)
         COMMANDS[args.command](args, buf)
     except BgftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,11 @@ import numpy as np
 
 from .errors import BgftError, EdgeListParseError, InvalidNodeError, InvalidSizeError
 
+# Largest node count a graph file may declare or use.  The adjacency is
+# dense float64, so 4096 nodes is 128 MB; the loaders check this before
+# they allocate it.
+MAX_NODES = 4096
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -93,11 +98,13 @@ def load_edge_list(path) -> DirectedGraph:
     """Read the edge-list format written by save_edge_list.
 
     Lines are `src dst weight` (weight optional, default 1.0); `#` starts a
-    comment.  A `# nodes N` header pins the node count; otherwise it is
-    1 + max node index seen.
+    comment.  A `# nodes N` header pins the node count, and every node index
+    must be below it; otherwise the count is 1 + max node index seen.  Either
+    way the count is at most MAX_NODES.
     """
     edges = []
-    n = 0
+    nodes = None  # from the `# nodes N` header
+    top = 0  # 1 + largest node index seen
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -105,9 +112,18 @@ def load_edge_list(path) -> DirectedGraph:
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] == "nodes":
                     try:
-                        n = max(n, int(parts[1]))
+                        nodes = int(parts[1])
                     except ValueError:
                         raise EdgeListParseError(path, lineno, "bad node count")
+                    if not 1 <= nodes <= MAX_NODES:
+                        raise EdgeListParseError(
+                            path, lineno,
+                            f"node count {nodes} outside 1..MAX_NODES={MAX_NODES}",
+                        )
+                    if top > nodes:
+                        raise EdgeListParseError(
+                            path, lineno, f"node index {top - 1} >= node count {nodes}"
+                        )
                 continue
             if not line:
                 continue
@@ -123,10 +139,19 @@ def load_edge_list(path) -> DirectedGraph:
                 raise EdgeListParseError(path, lineno, f"could not parse {line!r}")
             if i < 0 or j < 0:
                 raise EdgeListParseError(path, lineno, "negative node index")
+            if nodes is not None and max(i, j) >= nodes:
+                raise EdgeListParseError(
+                    path, lineno, f"node index {max(i, j)} >= node count {nodes}"
+                )
+            if max(i, j) >= MAX_NODES:
+                raise EdgeListParseError(
+                    path, lineno, f"node index {max(i, j)} >= MAX_NODES={MAX_NODES}"
+                )
             if w < 0 or not np.isfinite(w):
                 raise EdgeListParseError(path, lineno, f"bad weight {w!r}")
             edges.append((i, j, w))
-            n = max(n, i + 1, j + 1)
+            top = max(top, i + 1, j + 1)
+    n = top if nodes is None else nodes
     if n == 0:
         raise EdgeListParseError(path, 0, "empty graph file")
     a = np.zeros((n, n))
@@ -136,16 +161,21 @@ def load_edge_list(path) -> DirectedGraph:
 
 
 def load_matrix_market(path) -> DirectedGraph:
-    """Read a Matrix Market coordinate file (general, real) as a digraph."""
+    """Read a Matrix Market coordinate file (general, real) as a digraph of
+    at most MAX_NODES nodes."""
     import scipy.io
 
     try:
         m = scipy.io.mmread(path)
     except Exception as exc:
         raise EdgeListParseError(path, 0, f"not a readable Matrix Market file: {exc}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise EdgeListParseError(path, 0, f"adjacency must be square, got {m.shape}")
+    if m.shape[0] > MAX_NODES:
+        raise EdgeListParseError(
+            path, 0, f"node count {m.shape[0]} > MAX_NODES={MAX_NODES}"
+        )
     a = np.asarray(m.todense() if hasattr(m, "todense") else m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise EdgeListParseError(path, 0, f"adjacency must be square, got {a.shape}")
     return DirectedGraph(a)
 
 

@@ -115,9 +115,12 @@ def reconstruct(
     sol = linalg.lstsq(b, y)
     x_hat = v_o @ sol.coeffs
 
+    # sigma_K of the m x K matrix B: 0 when m < K, where B has only m
+    # singular values.  cond(B) is infinite exactly when lstsq finds B
+    # rank deficient, so the certificate and the rank decision agree.
     sb = sol.singular_values
-    sigma_min_b = float(sb[-1])
-    cond_b = float("inf") if sb[-1] <= 1e-14 * sb[0] else float(sb[0] / sb[-1])
+    sigma_min_b = float(sb[-1]) if b.shape[0] >= b.shape[1] else 0.0
+    cond_b = float("inf") if sol.rank_deficient else float(sb[0] / sigma_min_b)
 
     if x_true is None:
         rel_err = float("nan")

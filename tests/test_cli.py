@@ -86,13 +86,15 @@ class TestFilter:
         assert run(["filter", str(path), "--tau", "0"], out) == 0
         assert np.linalg.norm(read_signal(out) - x) <= 1e-10 * np.linalg.norm(x)
 
-    def test_constant_unchanged(self, tmp_path):
+    def test_constant_unchanged(self, tmp_path, capsys):
         path = tmp_path / "ones.sig"
         with open(path, "w") as fh:
             write_signal(np.ones(64), fh)
         out = tmp_path / "y.sig"
         run(["filter", str(path), "--tau", "2"], out)
         assert np.linalg.norm(read_signal(out) - 1.0) <= 1e-8 * 8
+        # norms print as plain floats (not numpy scalar reprs)
+        assert capsys.readouterr().err.startswith("||x||2 = 8.0 ||Hx||2 = ")
 
     def test_length_mismatch_exit_code(self, tmp_path):
         path = tmp_path / "short.sig"
@@ -165,15 +167,30 @@ BAD_INPUTS = [
                  "--seed must be >= 0, got -1", id="negative-seed-flag"),
     pytest.param(["reconstruct"], "-3", "BGFT_SEED must be >= 0, got -3",
                  id="negative-env-seed"),
-    pytest.param(["filter", "{missing}"], None, "cannot read signal file",
+    pytest.param(["filter", "{tmp}/missing"], None, "cannot read signal file",
                  id="missing-signal-file"),
-    pytest.param(["indices", "--graph", "file", "--input", "{missing}"], None,
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/missing"], None,
                  "cannot read graph file", id="missing-graph-file"),
     pytest.param(["table1", "--k", "30", "--m", "20"], None,
                  "need 1 <= K <= m <= n", id="table1-k-above-m"),
-    pytest.param(["indices", "--out", "{missing}/r.json"], None, "cannot write",
+    pytest.param(["indices", "--out", "{tmp}/missing/r.json"], None, "cannot write",
                  id="unwritable-out"),
+    pytest.param(["filter", "{tmp}/nan.sig"], None, "nan.sig:2: non-finite value",
+                 id="nan-in-signal"),
+    pytest.param(["diffuse", "{tmp}/inf.sig"], None, "inf.sig:2: non-finite value",
+                 id="inf-in-signal"),
+    pytest.param(["diffuse", "{tmp}/missing", "--t", "-1"], None,
+                 "--t must be >= 0, got -1", id="negative-t"),
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/header.edges"], None,
+                 "header.edges:3: node index 7 >= node count 5", id="index-past-header"),
 ]
+
+# Input files the BAD_INPUTS rows name as {tmp}/<name>.
+BAD_FILES = {
+    "nan.sig": "1.0\nnan 0.0\n",
+    "inf.sig": "1.0\n0.0 -inf\n",
+    "header.edges": "# nodes 5\n0 1\n7 0\n",
+}
 
 
 class TestBadInput:
@@ -184,8 +201,9 @@ class TestBadInput:
             monkeypatch.delenv("BGFT_SEED", raising=False)
         else:
             monkeypatch.setenv("BGFT_SEED", env_seed)
-        missing = str(tmp_path / "missing")
-        assert main([a.replace("{missing}", missing) for a in argv]) == 1
+        for name, text in BAD_FILES.items():
+            (tmp_path / name).write_text(text)
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and message in err
@@ -196,6 +214,26 @@ class TestBadInput:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: bgft" in capsys.readouterr().out
+
+
+class TestFlags:
+    # Each subcommand takes only the flags it reads.
+    @pytest.mark.parametrize("argv", [
+        ["indices", "--seed", "3"],
+        ["filter", "x.sig", "--k", "4"],
+        ["diffuse", "x.sig", "--tau", "1"],
+        ["reconstruct", "--tau", "1"],
+        ["table1", "--graph", "file"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bad_env_seed_ignored_without_randomness(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BGFT_SEED", "abc")
+        assert run(["indices", "--graph", "directed-cycle"], tmp_path / "r.txt") == 0
 
 
 class TestTable1:

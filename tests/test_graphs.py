@@ -130,6 +130,28 @@ class TestFileIO:
         bgft.save_edge_list(g, edge_path)
         assert np.array_equal(bgft.load_graph(edge_path).adjacency, g.adjacency)
 
+    @pytest.mark.parametrize("text", ["# nodes 5\n0 1\n7 0\n", "0 1\n7 0\n# nodes 5\n"],
+                             ids=["header-first", "header-last"])
+    def test_header_pins_node_count(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError) as exc:
+            bgft.load_edge_list(path)
+        assert exc.value.line_number == 3
+
+    # Just past the 4096-node cap: refused before the dense allocation.
+    @pytest.mark.parametrize("name,text", [
+        ("index.edges", "0 5000\n"),
+        ("header.edges", "# nodes 5000\n0 1\n1 0\n"),
+        ("big.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                    "5000 5000 1\n1 2 1.0\n"),
+    ], ids=["edge-index", "header", "mtx-shape"])
+    def test_node_cap(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match="MAX_NODES"):
+            bgft.load_graph(path)
+
     def test_negative_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 -3.0\n")

@@ -90,6 +90,18 @@ class TestReconstruct:
         assert rep.sigma_min_b == pytest.approx(sb[-1], rel=1e-12)
         assert rep.cond_b == pytest.approx(sb[0] / sb[-1], rel=1e-12)
 
+    def test_fewer_samples_than_modes_certificate(self, perturbed_basis):
+        # m < K: B = P_M V_Omega has no column rank, so sigma_K(B) = 0 and
+        # cond(B) is infinite, in step with rank_deficient.
+        omega = bgft.select_band(perturbed_basis, 8)
+        m_set = bgft.SamplingSet(nodes=(0, 5, 9))
+        x = bgft.random_bandlimited(perturbed_basis, omega, 1)
+        rep = bgft.reconstruct(perturbed_basis, omega, m_set, bgft.sample(x, m_set),
+                               x_true=x)
+        assert rep.rank_deficient
+        assert rep.sigma_min_b == 0.0
+        assert rep.cond_b == float("inf")
+
     def test_zero_signal_convention(self, perturbed_basis):
         omega = bgft.select_band(perturbed_basis, 8)
         m_set = bgft.random_sampling_set(64, 20, 3)
