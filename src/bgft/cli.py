@@ -10,7 +10,9 @@ Subcommands:
 Each subcommand accepts only the flags it reads.  All randomness (only in
 reconstruct and table1) flows from one 64-bit seed (--seed, or env BGFT_SEED)
 through numpy's PCG64 generator (np.random.default_rng); sub-draws use
-documented offsets so runs are byte-reproducible.
+documented offsets so runs are byte-reproducible.  Bad input (a BgftError,
+or a ValueError from the library's own checks) ends as one `error: ...` line
+on stderr with exit status 1.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def cmd_indices(args, stream) -> None:
 
 
 def cmd_filter(args, stream) -> None:
+    spec = transform.FilterSpec.heat(args.tau)
     basis = load_basis(args)
     x = load_signal(args.signal, basis)
-    y = transform.apply_filter(basis, transform.FilterSpec.heat(args.tau), x)
+    y = transform.apply_filter(basis, spec, x)
     print(f"||x||2 = {float(np.linalg.norm(x))!r} ||Hx||2 = {float(np.linalg.norm(y))!r}",
           file=sys.stderr)
     write_signal(y, stream)
@@ -213,6 +216,8 @@ def run_reconstruction(basis, k, m, noise, seed):
     """One seeded sampling/reconstruction trial; returns the report."""
     if not (1 <= k <= m <= basis.n):
         raise BgftError(f"need 1 <= K <= m <= n, got K={k} m={m} n={basis.n}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise BgftError(f"--noise must be finite and >= 0, got {noise}")
     omega = sampling.select_band(basis, k)
     x = sampling.random_bandlimited(basis, omega, 1000 * seed + SEED_SIGNAL)
     m_set = sampling.random_sampling_set(basis.n, m, 1000 * seed + SEED_SAMPLES)
@@ -311,7 +316,7 @@ def main(argv=None) -> int:
         if "seed" in args:
             args.seed = resolve_seed(args.seed)
         COMMANDS[args.command](args, buf)
-    except BgftError as exc:
+    except (BgftError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import BgftError, EdgeListParseError, InvalidNodeError, InvalidSizeError
 
-# Largest node count a graph file may declare or use.  The adjacency is
-# dense float64, so 4096 nodes is 128 MB; the loaders check this before
-# they allocate it.
+# Largest node count of a generated graph or a graph file.  The adjacency is
+# dense float64, so 4096 nodes is 128 MB; the generators and loaders check
+# this before they allocate it.
 MAX_NODES = 4096
 
 
@@ -42,19 +42,14 @@ class DirectedGraph:
 
 def undirected_cycle(n: int) -> DirectedGraph:
     """Cycle with unit reciprocal edges i <-> i+1 (mod n)."""
-    if n < 3:
-        raise InvalidSizeError(f"cycle needs n >= 3, got {n}")
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, (i + 1) % n] = 1.0
-        a[(i + 1) % n, i] = 1.0
-    return DirectedGraph(a)
+    a = directed_cycle(n).adjacency
+    return DirectedGraph(a + a.T)
 
 
 def directed_cycle(n: int) -> DirectedGraph:
     """Cycle with unit one-way edges i -> i+1 (mod n)."""
-    if n < 3:
-        raise InvalidSizeError(f"cycle needs n >= 3, got {n}")
+    if not 3 <= n <= MAX_NODES:
+        raise InvalidSizeError(f"cycle needs 3 <= n <= MAX_NODES={MAX_NODES}, got {n}")
     a = np.zeros((n, n))
     for i in range(n):
         a[i, (i + 1) % n] = 1.0
@@ -68,8 +63,8 @@ def add_directed_chord(g: DirectedGraph, eps: float, i: int, j: int) -> Directed
         raise InvalidNodeError(f"chord endpoints ({i}, {j}) out of range for n={n}")
     if i == j:
         raise InvalidNodeError("chord endpoints must differ")
-    if eps < 0:
-        raise ValueError("chord weight must be nonnegative")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"chord weight must be finite and >= 0, got {eps}")
     a = g.adjacency.copy()
     a[i, j] += eps
     return DirectedGraph(a)
@@ -176,7 +171,10 @@ def load_matrix_market(path) -> DirectedGraph:
             path, 0, f"node count {m.shape[0]} > MAX_NODES={MAX_NODES}"
         )
     a = np.asarray(m.todense() if hasattr(m, "todense") else m, dtype=float)
-    return DirectedGraph(a)
+    try:
+        return DirectedGraph(a)
+    except ValueError as exc:
+        raise EdgeListParseError(path, 0, str(exc))
 
 
 def load_graph(path) -> DirectedGraph:

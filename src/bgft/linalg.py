@@ -119,17 +119,28 @@ def eig_general(m) -> EigenDecomposition:
     # Re-orthonormalize degenerate clusters (chained gap <= CLUSTER_TOL).
     # A cluster of merely close (not equal) eigenvalues has distinct
     # eigendirections that QR would destroy, so the swap is kept only when
-    # the block residual stays at roundoff level.
+    # the block residual stays at roundoff level.  LAPACK may also return
+    # parallel vectors for a repeated eigenvalue (the 4-cycle's double 0);
+    # their QR fails the check, and the cluster's basis is then taken from
+    # the null space of M - mean(lambda) I, under the same check.
     m_norm = np.linalg.norm(m)
+
+    def invariant(q, mu):
+        block_residual = np.linalg.norm(m @ q - q * mu)
+        return block_residual <= 1e-10 * max(1.0, m_norm)
+
     i = 0
     while i < n:
         j = i + 1
         while j < n and abs(lam[j] - lam[j - 1]) <= CLUSTER_TOL:
             j += 1
         if j - i > 1:
+            mu = lam[i:j]
             q, _ = np.linalg.qr(v[:, i:j])
-            block_residual = np.linalg.norm(m @ q - q * lam[i:j])
-            if block_residual <= 1e-10 * max(1.0, m_norm):
+            if not invariant(q, mu):
+                shifted = m - np.mean(mu) * np.eye(n)
+                q = np.linalg.svd(shifted)[2][i - j:].conj().T
+            if invariant(q, mu):
                 v[:, i:j] = q
         i = j
 

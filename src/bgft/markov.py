@@ -22,7 +22,7 @@ REVERSIBILITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TransitionOperator:
-    """Row-stochastic P together with its diffusion generator I - P.
+    """Row-stochastic P; its diffusion generator I - P is derived from it.
 
     eig is the one eigendecomposition of P, computed on first use and shared
     by the biorthogonal basis (transform.decompose) and the stationary
@@ -30,11 +30,14 @@ class TransitionOperator:
     """
 
     p: np.ndarray
-    l_rw: np.ndarray
 
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+    @property
+    def l_rw(self) -> np.ndarray:
+        return np.eye(self.n) - self.p
 
     @cached_property
     def eig(self) -> linalg.EigenDecomposition:
@@ -59,7 +62,7 @@ def transition(g: DirectedGraph) -> TransitionOperator:
     if sinks.size:
         raise SinkNodeError(int(sinks[0]))
     p = g.adjacency / d[:, None]
-    return TransitionOperator(p=p, l_rw=np.eye(g.n) - p)
+    return TransitionOperator(p=p)
 
 
 def asymmetry_index(m) -> float:

@@ -90,11 +90,6 @@ def sample(x, m_set: SamplingSet) -> np.ndarray:
     return x[list(m_set.nodes)]
 
 
-def _sampled_band(basis, omega, m_set) -> np.ndarray:
-    v_o = band_vectors(basis, omega)
-    return v_o[list(m_set.nodes), :]
-
-
 def reconstruct(
     basis: BgftBasis,
     omega: BandSupport,
@@ -111,7 +106,7 @@ def reconstruct(
     """
     y = linalg.as_vector(y, m_set.m)
     v_o = band_vectors(basis, omega)
-    b = _sampled_band(basis, omega, m_set)
+    b = v_o[list(m_set.nodes), :]
     sol = linalg.lstsq(b, y)
     x_hat = v_o @ sol.coeffs
 
@@ -149,13 +144,15 @@ def reconstruct(
 def noise_bound(
     basis: BgftBasis, omega: BandSupport, m_set: SamplingSet, eta_norm: float
 ) -> float:
-    """Worst-case reconstruction error ||V_Omega||_2 ||eta||_2 / sigma_min(B)."""
-    b = _sampled_band(basis, omega, m_set)
-    sb = np.linalg.svd(b, compute_uv=False)
-    if sb[-1] <= linalg.RANK_RCOND * sb[0] or b.shape[0] < b.shape[1]:
+    """Worst-case reconstruction error ||V_Omega||_2 ||eta||_2 / sigma_min(B).
+
+    The value and the rank decision are reconstruct's (one SVD of B, lstsq's
+    rank rule); raises RankDeficientError where it reports rank_deficient.
+    """
+    rep = reconstruct(basis, omega, m_set, np.zeros(m_set.m), eta_norm=eta_norm)
+    if rep.rank_deficient:
         raise RankDeficientError("sampled band matrix lacks full column rank")
-    v_o = band_vectors(basis, omega)
-    return float(linalg.spectral_norm2(v_o) * eta_norm / sb[-1])
+    return rep.noise_bound
 
 
 def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:

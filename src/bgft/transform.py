@@ -8,7 +8,9 @@ by decay rate: omega_k = Re(1 - lambda_k), ascending (slow modes first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,15 +26,13 @@ DEFAULT_TAU = 2.0
 class BgftBasis:
     """Biorthogonal eigenbasis of a transition operator.
 
-    order sorts modes by ascending decay rate, ties broken by ascending
-    |Im lambda| then by Im lambda (so conjugate pairs order deterministically,
-    negative-imaginary first).
+    frequencies and order derive from eig.  order sorts modes by ascending
+    decay rate, ties broken by ascending |Im lambda| then by Im lambda (so
+    conjugate pairs order deterministically, negative-imaginary first).
     """
 
     operator: TransitionOperator
     eig: EigenDecomposition
-    frequencies: np.ndarray
-    order: np.ndarray
 
     @property
     def n(self) -> int:
@@ -54,55 +54,59 @@ class BgftBasis:
     def cond_v(self) -> float:
         return self.eig.cond_v
 
+    @property
+    def frequencies(self) -> np.ndarray:
+        return 1.0 - self.eigenvalues.real
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        lam = self.eigenvalues
+        return np.lexsort((lam.imag, np.abs(lam.imag), self.frequencies))
+
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Scalar spectral response h(lambda).
-
-    kinds:
-      heat(tau):          h(lambda) = exp(-tau * (1 - lambda)), tau >= 0
-      ideal-lowpass(k):    1 on the k slowest modes (basis order), else 0
-      custom(samples):     explicit per-mode table h(lambda_k), basis index order
+    """Scalar spectral response: response(basis) is h(lambda) at each
+    eigenvalue, in basis index order.  Constructors:
+      heat(tau):          h(lambda) = exp(-tau * (1 - lambda)), finite tau >= 0
+      ideal_lowpass(k):   1 on the k slowest modes (basis order), else 0
+      custom(samples):    explicit per-mode table h(lambda_k), basis index order
     """
 
-    kind: str
-    tau: float = 0.0
-    k: int = 0
-    samples: np.ndarray | None = field(default=None)
+    response: Callable[[BgftBasis], np.ndarray]
 
     @staticmethod
     def heat(tau: float = DEFAULT_TAU) -> "FilterSpec":
-        if tau < 0:
-            raise ValueError(f"heat filter needs tau >= 0, got {tau}")
-        return FilterSpec(kind="heat", tau=float(tau))
+        if not (np.isfinite(tau) and tau >= 0):
+            raise ValueError(f"heat filter needs a finite tau >= 0, got {tau}")
+        tau = float(tau)
+        return FilterSpec(lambda basis: np.exp(-tau * (1.0 - basis.eigenvalues)))
 
     @staticmethod
     def ideal_lowpass(k: int) -> "FilterSpec":
         if k < 1:
             raise InvalidSizeError(f"ideal lowpass needs k >= 1, got {k}")
-        return FilterSpec(kind="ideal-lowpass", k=int(k))
+        k = int(k)
+
+        def response(basis: BgftBasis) -> np.ndarray:
+            if k > basis.n:
+                raise InvalidSizeError(f"lowpass band {k} exceeds n={basis.n}")
+            h = np.zeros(basis.n, dtype=complex)
+            h[basis.order[:k]] = 1.0
+            return h
+
+        return FilterSpec(response)
 
     @staticmethod
     def custom(samples) -> "FilterSpec":
-        return FilterSpec(kind="custom", samples=np.asarray(samples, dtype=complex))
+        samples = np.asarray(samples, dtype=complex)
 
-    def response(self, basis: BgftBasis) -> np.ndarray:
-        """Evaluate h at each eigenvalue, in basis index order."""
-        if self.kind == "heat":
-            return np.exp(-self.tau * (1.0 - basis.eigenvalues))
-        if self.kind == "ideal-lowpass":
-            if self.k > basis.n:
-                raise InvalidSizeError(
-                    f"lowpass band {self.k} exceeds n={basis.n}"
-                )
-            h = np.zeros(basis.n, dtype=complex)
-            h[basis.order[: self.k]] = 1.0
-            return h
-        if self.kind == "custom":
-            if self.samples is None or self.samples.shape[0] != basis.n:
+        def response(basis: BgftBasis) -> np.ndarray:
+            if samples.shape[:1] != (basis.n,):
                 raise ValueError("custom filter table must have one entry per mode")
-            return self.samples
-        raise ValueError(f"unknown filter kind {self.kind!r}")
+            return samples
+
+        return FilterSpec(response)
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,8 @@ class EnergyReport:
 
 
 def decompose(op: TransitionOperator) -> BgftBasis:
-    """Attach the decay-rate mode ordering to P's eigendecomposition."""
-    eig = op.eig
-    lam = eig.eigenvalues
-    freq = 1.0 - lam.real
-    order = np.lexsort((lam.imag, np.abs(lam.imag), freq))
-    return BgftBasis(operator=op, eig=eig, frequencies=freq, order=order)
+    """The BGFT basis of P: its cached eigendecomposition, in decay-rate order."""
+    return BgftBasis(operator=op, eig=op.eig)
 
 
 def analyze(basis: BgftBasis, x) -> np.ndarray:
@@ -181,32 +181,30 @@ def filter_bound(basis: BgftBasis, spec: FilterSpec) -> float:
 def energy_report(basis: BgftBasis, dist: StationaryDistribution, x) -> EnergyReport:
     """Energy identities in the pi-metric.
 
-    pi_energy = ||x||_pi^2 must equal the Gram form xhat* (V* Pi V) xhat; the
-    diffusion variation ||(I-P)x||_pi^2 is sandwiched by the squared extreme
-    singular values of W = Pi^{1/2} V times sum |1-lambda_k|^2 |xhat_k|^2.
+    pi_energy = ||x||_pi^2 must equal the Gram form xhat* (W* W) xhat =
+    ||W xhat||^2 with W = Pi^{1/2} V; the diffusion variation ||(I-P)x||_pi^2
+    is sandwiched by the squared extreme singular values of W times
+    sum |1-lambda_k|^2 |xhat_k|^2.
     """
     x = linalg.as_vector(x, basis.n)
     xhat = analyze(basis, x)
-    v = basis.right_vectors
     pi = dist.pi
 
-    # Rescale columns to unit pi-norm (and coefficients inversely).  The
+    # Rescale columns of W to unit norm (and coefficients inversely).  The
     # identities below are invariant under column scaling, and this choice
     # makes W unitary in the reversible limit (pi-orthonormal eigenbasis),
     # where the sandwich bounds collapse to equalities.
-    w = dist.pi_diag_sqrt[:, None] * v
+    w = dist.pi_diag_sqrt[:, None] * basis.right_vectors
     scale = np.linalg.norm(w, axis=0)
     w = w / scale
-    v = v / scale
     xhat = xhat * scale
 
     pi_energy = float(np.sum(pi * np.abs(x) ** 2))
-    gram = v.conj().T @ (pi[:, None] * v)
-    gram_energy = float((np.conj(xhat) @ gram @ xhat).real)
+    gram_energy = float(np.sum(np.abs(w @ xhat) ** 2))
 
     sw = np.linalg.svd(w, compute_uv=False)
 
-    lx = basis.operator.l_rw @ x
+    lx = x - basis.operator.p @ x
     tv_pi = float(np.sum(pi * np.abs(lx) ** 2))
     mode_sum = float(np.sum(np.abs(1.0 - basis.eigenvalues) ** 2 * np.abs(xhat) ** 2))
 

@@ -48,6 +48,17 @@ class TestIndices:
         assert rec["alpha"] == 0.0
         assert rec["reversible"] is True
 
+    @pytest.mark.parametrize("cmd", [["indices"], ["reconstruct", "--k", "2", "--m", "3"]])
+    def test_four_node_undirected_cycle(self, tmp_path, cmd):
+        # Its P is symmetric; LAPACK's parallel eigenvectors for the double
+        # eigenvalue 0 must not make it look defective.
+        out = tmp_path / "r.json"
+        assert run([*cmd, "--graph", "undirected-cycle", "--n", "4", "--format", "json"],
+                   out) == 0
+        rec = json.loads(out.read_text())[0]
+        if cmd == ["indices"]:
+            assert rec["cond_v"] == pytest.approx(1.0, abs=1e-12)
+
     def test_perturbed_delta(self, tmp_path):
         out = tmp_path / "r.json"
         run(["indices", "--graph", "perturbed-cycle", "--format", "json"], out)
@@ -183,6 +194,18 @@ BAD_INPUTS = [
                  "--t must be >= 0, got -1", id="negative-t"),
     pytest.param(["indices", "--graph", "file", "--input", "{tmp}/header.edges"], None,
                  "header.edges:3: node index 7 >= node count 5", id="index-past-header"),
+    *[pytest.param(["filter", "{tmp}/x.sig", "--graph", "directed-cycle", "--n", "3",
+                    "--tau", tau], None, "heat filter needs a finite tau >= 0",
+                   id=f"tau-{tau}") for tau in ("-1", "nan", "inf")],
+    *[pytest.param(["indices", "--eps", eps], None, "chord weight must be finite and >= 0",
+                   id=f"eps-{eps}") for eps in ("-1", "nan")],
+    *[pytest.param(["reconstruct", "--noise", noise], None,
+                   "--noise must be finite and >= 0", id=f"noise-{noise}")
+      for noise in ("-1", "nan", "inf")],
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/neg.mtx"], None,
+                 "neg.mtx:0: adjacency entries must be nonnegative", id="negative-mtx-entry"),
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/nan.mtx"], None,
+                 "nan.mtx:0: adjacency entries must be finite", id="nan-mtx-entry"),
 ]
 
 # Input files the BAD_INPUTS rows name as {tmp}/<name>.
@@ -190,6 +213,9 @@ BAD_FILES = {
     "nan.sig": "1.0\nnan 0.0\n",
     "inf.sig": "1.0\n0.0 -inf\n",
     "header.edges": "# nodes 5\n0 1\n7 0\n",
+    "x.sig": "1.0\n0.0\n0.0\n",
+    "neg.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 -1.0\n3 1 1.0\n",
+    "nan.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 nan\n3 1 1.0\n",
 }
 
 
@@ -207,6 +233,17 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_generated_graph_over_cap(self, monkeypatch, capsys):
+        # Refused before the transition operator is built: without the cap
+        # this would eigendecompose a 4097-node operator.
+        def no_transition(g):
+            raise AssertionError(f"transition built for n={g.n}")
+
+        monkeypatch.setattr(bgft.markov, "transition", no_transition)
+        assert main(["indices", "--graph", "directed-cycle", "--n", "4097"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MAX_NODES=4096, got 4097" in err
 
     def test_help_with_bad_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("BGFT_SEED", "abc")

@@ -43,6 +43,11 @@ class TestGenerators:
         with pytest.raises(InvalidSizeError):
             bgft.undirected_cycle(1)
 
+    @pytest.mark.parametrize("gen", [bgft.directed_cycle, bgft.undirected_cycle])
+    def test_node_cap(self, gen):
+        with pytest.raises(InvalidSizeError, match="MAX_NODES"):
+            gen(bgft.graphs.MAX_NODES + 1)
+
     def test_deterministic(self):
         assert np.array_equal(
             bgft.directed_cycle(9).adjacency, bgft.directed_cycle(9).adjacency
@@ -151,6 +156,14 @@ class TestFileIO:
         path.write_text(text)
         with pytest.raises(EdgeListParseError, match="MAX_NODES"):
             bgft.load_graph(path)
+
+    @pytest.mark.parametrize("entry", ["-1.0", "nan"])
+    def test_matrix_market_bad_entry(self, tmp_path, entry):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"3 3 3\n1 2 1.0\n2 3 {entry}\n3 1 1.0\n")
+        with pytest.raises(EdgeListParseError, match="bad.mtx"):
+            bgft.load_matrix_market(path)
 
     def test_negative_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.edges"

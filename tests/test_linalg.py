@@ -71,6 +71,15 @@ class TestEigGeneral:
         p = bgft.transition(bgft.undirected_cycle(16)).p
         assert bgft.eig_general(p).cond_v <= 1 + 1e-6
 
+    def test_parallel_eigenvectors_of_repeated_eigenvalue(self):
+        # LAPACK returns parallel vectors for the 4-cycle's double eigenvalue
+        # 0; the cluster basis comes from the null space of P instead.
+        p = bgft.transition(bgft.undirected_cycle(4)).p
+        dec = bgft.eig_general(p)
+        assert dec.cond_v == pytest.approx(1.0, abs=1e-12)
+        assert dec.residual <= 1e-14
+        assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
+
     def test_jordan_block_defective(self):
         with pytest.raises(DefectiveMatrixError):
             bgft.eig_general([[1, 1], [0, 1]])

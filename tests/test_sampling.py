@@ -169,6 +169,20 @@ class TestNoiseBound:
         with pytest.raises(RankDeficientError):
             bgft.noise_bound(perturbed_basis, omega, m_set, 1.0)
 
+    @pytest.mark.parametrize("nodes", [None, (0, 1, 2), (0, 5, 9), tuple(range(8))])
+    @pytest.mark.parametrize("eta_norm", [0.0, 0.3])
+    def test_matches_reconstruct(self, perturbed_basis, nodes, eta_norm):
+        omega = bgft.select_band(perturbed_basis, 8)
+        m_set = (bgft.random_sampling_set(64, 20, 14) if nodes is None
+                 else bgft.SamplingSet(nodes=nodes))
+        rep = bgft.reconstruct(perturbed_basis, omega, m_set, np.zeros(m_set.m),
+                               eta_norm=eta_norm)
+        if rep.rank_deficient:
+            with pytest.raises(RankDeficientError):
+                bgft.noise_bound(perturbed_basis, omega, m_set, eta_norm)
+        else:
+            assert bgft.noise_bound(perturbed_basis, omega, m_set, eta_norm) == rep.noise_bound
+
     def test_monte_carlo_never_violated(self, perturbed_basis):
         omega = bgft.select_band(perturbed_basis, 8)
         m_set = bgft.random_sampling_set(64, 20, 11)

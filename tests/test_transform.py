@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,10 +25,20 @@ class TestDecompose:
         assert basis.cond_v == pytest.approx(28.011585066632986, rel=0.01)
 
     def test_identity_operator(self):
-        op = bgft.TransitionOperator(p=np.eye(5), l_rw=np.zeros((5, 5)))
+        op = bgft.TransitionOperator(p=np.eye(5))
         basis = bgft.decompose(op)
         assert_allclose(basis.eigenvalues, np.ones(5))
         assert_allclose(basis.frequencies, np.zeros(5))
+
+    def test_replaced_eig_rederives_order(self, canonical_bases):
+        # frequencies and order are derived from eig, so replacing eig
+        # cannot leave them stale.
+        _, basis = canonical_bases["perturbed"]
+        lam = basis.eigenvalues[::-1].copy()
+        new = dataclasses.replace(basis, eig=dataclasses.replace(basis.eig, eigenvalues=lam))
+        assert np.array_equal(new.frequencies, 1.0 - lam.real)
+        assert np.array_equal(new.order, np.lexsort((lam.imag, np.abs(lam.imag), 1.0 - lam.real)))
+        assert not np.array_equal(new.order, basis.order)
 
     def test_frequencies_definition(self, property_suite):
         for _, basis in property_suite[:5]:
@@ -191,6 +203,11 @@ class TestFilters:
     def test_heat_rejects_negative_tau(self):
         with pytest.raises(ValueError):
             FilterSpec.heat(-1.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_heat_rejects_nonfinite_tau(self, tau):
+        with pytest.raises(ValueError):
+            FilterSpec.heat(tau)
 
 
 class TestBounds:
