@@ -32,6 +32,9 @@ from .errors import BgftError
 
 DEFAULTS = dict(n=64, eps=20.0, k=8, m=20, tau=2.0, noise=0.0, seed=0)
 
+# diffuse keeps one output record per step, so --t is capped.
+MAX_DIFFUSE_STEPS = 10_000
+
 # Seed offsets for the independent random draws of one experiment.
 SEED_SIGNAL = 0
 SEED_SAMPLES = 1
@@ -172,6 +175,8 @@ def cmd_filter(args, stream) -> None:
 def cmd_diffuse(args, stream) -> None:
     if args.t < 0:
         raise BgftError(f"--t must be >= 0, got {args.t}")
+    if args.t > MAX_DIFFUSE_STEPS:
+        raise BgftError(f"--t must be <= MAX_DIFFUSE_STEPS={MAX_DIFFUSE_STEPS}, got {args.t}")
     basis = load_basis(args)
     x = load_signal(args.signal, basis)
     # Iterated here rather than with transform.diffuse_direct, which returns
@@ -212,12 +217,17 @@ def resolve_seed(flag) -> int:
     return seed
 
 
-def run_reconstruction(basis, k, m, noise, seed):
-    """One seeded sampling/reconstruction trial; returns the report."""
-    if not (1 <= k <= m <= basis.n):
-        raise BgftError(f"need 1 <= K <= m <= n, got K={k} m={m} n={basis.n}")
+def check_trial(k, m, n, noise) -> None:
+    """The sampling trial's sizes and noise level; needs no basis."""
+    if not (1 <= k <= m <= n):
+        raise BgftError(f"need 1 <= K <= m <= n, got K={k} m={m} n={n}")
     if not (math.isfinite(noise) and noise >= 0):
         raise BgftError(f"--noise must be finite and >= 0, got {noise}")
+
+
+def run_reconstruction(basis, k, m, noise, seed):
+    """One seeded sampling/reconstruction trial; returns the report."""
+    check_trial(k, m, basis.n, noise)
     omega = sampling.select_band(basis, k)
     x = sampling.random_bandlimited(basis, omega, 1000 * seed + SEED_SIGNAL)
     m_set = sampling.random_sampling_set(basis.n, m, 1000 * seed + SEED_SAMPLES)
@@ -246,6 +256,7 @@ def cmd_reconstruct(args, stream) -> None:
 
 
 def cmd_table1(args, stream) -> None:
+    check_trial(args.k, args.m, args.n, args.noise)
     records = []
     for kind in GRAPH_KINDS:
         name = f"{kind}(eps={args.eps:g})" if kind == "perturbed-cycle" else kind

@@ -102,8 +102,11 @@ def reconstruct(
 
     rel_err is ||x_hat - x_true|| / ||x_true|| when a reference signal is
     given (0 when both are numerically zero, +inf when only the reference
-    is), else NaN.  noise_bound is ||V_Omega||_2 * eta_norm / sigma_min(B).
+    is), else NaN.  noise_bound is ||V_Omega||_2 * eta_norm / sigma_min(B);
+    eta_norm must be finite and >= 0.
     """
+    if not (np.isfinite(eta_norm) and eta_norm >= 0):
+        raise ValueError(f"eta_norm must be finite and >= 0, got {eta_norm}")
     y = linalg.as_vector(y, m_set.m)
     v_o = band_vectors(basis, omega)
     b = v_o[list(m_set.nodes), :]
@@ -168,44 +171,69 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
 
     One greedy run per choice of first node (the first additions are myopic,
     so a single run stalls in poor local optima), each followed by
-    single-node exchange refinement; the best final set wins.  Deterministic:
-    ties go to the smallest node index.  O(n^2 m) small SVDs, fine at
-    experiment sizes.
+    first-improvement single-node exchange; the best final set wins.
+    Deterministic: ties go to the smallest node index.
+
+    The restarts keep reaching the same sets, so sigma_min is memoized per
+    node set (keyed by its bitmask, computed on its sorted rows, so the value
+    depends only on the set).  The unscored candidates of one growth step, or
+    of one exchange scan from a given candidate on, share one stacked SVD.
     """
     n = basis.n
     if not (1 <= m <= n):
         raise InvalidSizeError(f"sample count {m} outside 1..{n}")
     v_o = band_vectors(basis, omega)
+    sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
 
-    def sigma_min(rows):
-        return float(np.linalg.svd(v_o[rows, :], compute_uv=False)[-1])
+    def scan(chosen, mask, cands, pos=None):
+        """sigma_min of chosen with each candidate appended (pos None) or
+        put in place of chosen[pos]."""
+        base = mask if pos is None else mask & ~(1 << chosen[pos])
+        keys = [base | 1 << c for c in cands]
+        new = [i for i, key in enumerate(keys) if key not in sigma]
+        if new:
+            sets = np.empty((len(new), len(chosen) + (pos is None)), dtype=np.intp)
+            sets[:, :len(chosen)] = chosen
+            sets[:, len(chosen) if pos is None else pos] = [cands[i] for i in new]
+            sets.sort(axis=1)
+            sv = np.linalg.svd(v_o[sets], compute_uv=False)[:, -1]
+            sigma.update(zip([keys[i] for i in new], sv.tolist()))
+        return [sigma[key] for key in keys]
 
     def one_run(start):
-        chosen = [start]
+        chosen, mask = [start], 1 << start
         remaining = [i for i in range(n) if i != start]
+        if m == 1:  # no growth step scores the one-node set
+            scan([], 0, chosen)
         for _ in range(m - 1):
-            best_node, best_sigma = remaining[0], -1.0
-            for cand in remaining:
-                sigma = sigma_min(chosen + [cand])
-                if sigma > best_sigma + 1e-15:
-                    best_node, best_sigma = cand, sigma
-            chosen.append(best_node)
-            remaining.remove(best_node)
+            best_i, best_sigma = 0, -1.0
+            for i, s in enumerate(scan(chosen, mask, remaining)):
+                if s > best_sigma + 1e-15:
+                    best_i, best_sigma = i, s
+            chosen.append(remaining.pop(best_i))
+            mask |= 1 << chosen[-1]
         improved = True
         while improved and remaining:
             improved = False
-            current = sigma_min(chosen)
+            current = sigma[mask]
             for pos in range(m):
-                for cand in remaining:
-                    trial = chosen.copy()
-                    trial[pos] = cand
-                    if sigma_min(trial) > current + 1e-12:
-                        remaining.append(chosen[pos])
-                        chosen[pos] = cand
-                        remaining.remove(cand)
-                        current = sigma_min(chosen)
-                        improved = True
-        return chosen, sigma_min(chosen)
+                j = 0
+                while j < len(remaining):
+                    trial = scan(chosen, mask, remaining[j:], pos)
+                    hit = next((i for i, s in enumerate(trial) if s > current + 1e-12), None)
+                    if hit is None:
+                        break
+                    # Swap: the old node rejoins the candidates at the end,
+                    # and the scan resumes at the next index of the updated
+                    # list (the order of an in-place iteration over it).
+                    j += hit
+                    old, chosen[pos] = chosen[pos], remaining.pop(j)
+                    remaining.append(old)
+                    mask = mask & ~(1 << old) | 1 << chosen[pos]
+                    current = trial[hit]
+                    improved = True
+                    j += 1
+        return chosen, sigma[mask]
 
     best_set, best_val = None, -1.0
     for start in range(n):

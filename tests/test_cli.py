@@ -192,6 +192,8 @@ BAD_INPUTS = [
                  id="inf-in-signal"),
     pytest.param(["diffuse", "{tmp}/missing", "--t", "-1"], None,
                  "--t must be >= 0, got -1", id="negative-t"),
+    pytest.param(["diffuse", "{tmp}/missing", "--t", "10001"], None,
+                 "--t must be <= MAX_DIFFUSE_STEPS=10000, got 10001", id="t-over-cap"),
     pytest.param(["indices", "--graph", "file", "--input", "{tmp}/header.edges"], None,
                  "header.edges:3: node index 7 >= node count 5", id="index-past-header"),
     *[pytest.param(["filter", "{tmp}/x.sig", "--graph", "directed-cycle", "--n", "3",
@@ -244,6 +246,20 @@ class TestBadInput:
         assert main(["indices", "--graph", "directed-cycle", "--n", "4097"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "MAX_NODES=4096, got 4097" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--k", "30", "--m", "20"], "need 1 <= K <= m <= n, got K=30 m=20 n=512"),
+        (["--noise", "-1"], "--noise must be finite and >= 0, got -1.0"),
+    ])
+    def test_table1_trial_checked_first(self, argv, message, monkeypatch, capsys):
+        # Refused from --n before the first graph is decomposed.
+        def no_transition(g):
+            raise AssertionError(f"transition built for n={g.n}")
+
+        monkeypatch.setattr(bgft.markov, "transition", no_transition)
+        assert main(["table1", "--n", "512", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_help_with_bad_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("BGFT_SEED", "abc")

@@ -169,6 +169,16 @@ class TestNoiseBound:
         with pytest.raises(RankDeficientError):
             bgft.noise_bound(perturbed_basis, omega, m_set, 1.0)
 
+    @pytest.mark.parametrize("eta_norm", [-1.0, float("nan"), float("inf")])
+    def test_bad_eta_norm_rejected(self, eta_norm):
+        basis = bgft.decompose(bgft.transition(bgft.directed_cycle(16)))
+        omega = bgft.select_band(basis, 4)
+        m_set = bgft.random_sampling_set(16, 8, 0)
+        with pytest.raises(ValueError, match="eta_norm must be finite and >= 0"):
+            bgft.noise_bound(basis, omega, m_set, eta_norm)
+        with pytest.raises(ValueError, match="eta_norm must be finite and >= 0"):
+            bgft.reconstruct(basis, omega, m_set, np.zeros(8), eta_norm=eta_norm)
+
     @pytest.mark.parametrize("nodes", [None, (0, 1, 2), (0, 5, 9), tuple(range(8))])
     @pytest.mark.parametrize("eta_norm", [0.0, 0.3])
     def test_matches_reconstruct(self, perturbed_basis, nodes, eta_norm):
@@ -240,3 +250,107 @@ class TestSamplingSets:
             if g_sigma >= best - 1e-10:
                 wins += 1
         assert wins >= 0.9 * trials
+
+
+def naive_greedy(v_o, m):
+    """The greedy-plus-exchange search with one SVD per candidate set, rows
+    in the order the set was built: the reference for greedy_sampling_set."""
+    n = v_o.shape[0]
+
+    def sigma_min(rows):
+        return float(np.linalg.svd(v_o[rows, :], compute_uv=False)[-1])
+
+    def one_run(start):
+        chosen = [start]
+        remaining = [i for i in range(n) if i != start]
+        for _ in range(m - 1):
+            best_node, best_sigma = remaining[0], -1.0
+            for cand in remaining:
+                sigma = sigma_min(chosen + [cand])
+                if sigma > best_sigma + 1e-15:
+                    best_node, best_sigma = cand, sigma
+            chosen.append(best_node)
+            remaining.remove(best_node)
+        improved = True
+        while improved and remaining:
+            improved = False
+            current = sigma_min(chosen)
+            for pos in range(m):
+                for cand in remaining:  # remaining changes during the scan
+                    trial = chosen.copy()
+                    trial[pos] = cand
+                    if sigma_min(trial) > current + 1e-12:
+                        remaining.append(chosen[pos])
+                        chosen[pos] = cand
+                        remaining.remove(cand)
+                        current = sigma_min(chosen)
+                        improved = True
+        return chosen, sigma_min(chosen)
+
+    best_set, best_val = None, -1.0
+    for start in range(n):
+        chosen, val = one_run(start)
+        if val > best_val + 1e-15:
+            best_set, best_val = chosen, val
+    return tuple(sorted(best_set))
+
+
+def design_graph(kind, n):
+    if kind == "random":
+        return random_digraph(n, 700 + n)
+    if kind == "perturbed":
+        return bgft.add_directed_chord(bgft.directed_cycle(n), 5.0 + n, 1, n // 2 + 1)
+    if kind == "directed":
+        return bgft.directed_cycle(n)
+    return bgft.undirected_cycle(n)
+
+
+def design_cases(kinds, sizes):
+    for kind in kinds:
+        for n in sizes:
+            for k in (2, 3, 4):
+                for m in sorted({1, k, k + 2, n // 2}):
+                    yield pytest.param(kind, n, k, m, id=f"{kind}-n{n}-K{k}-m{m}")
+
+
+class TestGreedySearch:
+    @pytest.mark.parametrize(
+        "kind,n,k,m", design_cases(("random", "perturbed", "directed"), (8, 12, 16)))
+    def test_same_set_as_naive_search(self, kind, n, k, m):
+        basis = bgft.decompose(bgft.transition(design_graph(kind, n)))
+        omega = bgft.select_band(basis, k)
+        v_o = bgft.band_vectors(basis, omega)
+        assert bgft.greedy_sampling_set(basis, omega, m).nodes == naive_greedy(v_o, m)
+
+    @pytest.mark.parametrize("kind,n,k,m", design_cases(("undirected",), (12, 16)))
+    def test_symmetric_graph_as_good_as_naive_search(self, kind, n, k, m):
+        # Exact symmetries make many sets tie in sigma_min to ~1e-15, where
+        # row order decides the tie; the chosen set must be as good.
+        basis = bgft.decompose(bgft.transition(design_graph(kind, n)))
+        omega = bgft.select_band(basis, k)
+        v_o = bgft.band_vectors(basis, omega)
+
+        def sigma_min(nodes):
+            return np.linalg.svd(v_o[list(nodes), :], compute_uv=False)[-1]
+
+        new = bgft.greedy_sampling_set(basis, omega, m).nodes
+        assert sigma_min(new) >= sigma_min(naive_greedy(v_o, m)) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_each_set_decomposed_once(self, m, monkeypatch):
+        basis = bgft.decompose(bgft.transition(random_digraph(16, 900)))
+        omega = bgft.select_band(basis, 4)
+        v_o = bgft.band_vectors(basis, omega)
+        node_of_row = {row.tobytes(): i for i, row in enumerate(v_o)}
+        seen = []  # the node set of every matrix passed to the SVD
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            seen.extend(frozenset(node_of_row[row.tobytes()] for row in mat)
+                        for mat in a.reshape(-1, *a.shape[-2:]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        bgft.greedy_sampling_set(basis, omega, m)
+        assert seen and len(set(seen)) == len(seen)
