@@ -89,15 +89,18 @@ def generate_graph(kind, n, eps, chord_src=None, chord_dst=None) -> graphs.Direc
     return graphs.add_directed_chord(graphs.directed_cycle(n), eps, src, dst)
 
 
-def load_basis(args) -> transform.BgftBasis:
-    """The --graph/--input graph, its transition operator and its basis."""
+def input_graph(args) -> graphs.DirectedGraph:
+    """The --graph/--input graph."""
     if args.graph == "file":
         if not args.input:
             raise BgftError("--graph file requires --input PATH")
-        g = graphs.load_graph(args.input)
-    else:
-        g = generate_graph(args.graph, args.n, args.eps, args.chord_src, args.chord_dst)
-    return transform.decompose(markov.transition(g))
+        return graphs.load_graph(args.input)
+    return generate_graph(args.graph, args.n, args.eps, args.chord_src, args.chord_dst)
+
+
+def load_basis(args) -> transform.BgftBasis:
+    """The --graph/--input graph's transition operator and its basis."""
+    return transform.decompose(markov.transition(input_graph(args)))
 
 
 def load_signal(path, basis: transform.BgftBasis) -> np.ndarray:
@@ -226,8 +229,8 @@ def check_trial(k, m, n, noise) -> None:
 
 
 def run_reconstruction(basis, k, m, noise, seed):
-    """One seeded sampling/reconstruction trial; returns the report."""
-    check_trial(k, m, basis.n, noise)
+    """One seeded sampling/reconstruction trial; returns the report.  The
+    caller has passed k, m and noise through check_trial."""
     omega = sampling.select_band(basis, k)
     x = sampling.random_bandlimited(basis, omega, 1000 * seed + SEED_SIGNAL)
     m_set = sampling.random_sampling_set(basis.n, m, 1000 * seed + SEED_SAMPLES)
@@ -242,7 +245,9 @@ def run_reconstruction(basis, k, m, noise, seed):
 
 
 def cmd_reconstruct(args, stream) -> None:
-    basis = load_basis(args)
+    g = input_graph(args)
+    check_trial(args.k, args.m, g.n, args.noise)
+    basis = transform.decompose(markov.transition(g))
     rep = run_reconstruction(basis, args.k, args.m, args.noise, args.seed)
     fields = dict(
         rel_err=rep.rel_err,

@@ -164,6 +164,8 @@ def load_matrix_market(path) -> DirectedGraph:
         m = scipy.io.mmread(path)
     except Exception as exc:
         raise EdgeListParseError(path, 0, f"not a readable Matrix Market file: {exc}")
+    if np.iscomplexobj(m):
+        raise EdgeListParseError(path, 0, "complex entries are not supported")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise EdgeListParseError(path, 0, f"adjacency must be square, got {m.shape}")
     if m.shape[0] > MAX_NODES:

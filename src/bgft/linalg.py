@@ -82,24 +82,17 @@ class LeastSquaresSolution:
     singular_values: np.ndarray
 
 
-def _normalize_columns(v: np.ndarray) -> np.ndarray:
-    """Unit 2-norm columns, phase fixed so the largest-magnitude entry is
-    positive real.  cond(V) is only reproducible under this convention."""
-    v = v / np.linalg.norm(v, axis=0)
-    for k in range(v.shape[1]):
-        idx = int(np.argmax(np.abs(v[:, k])))
-        pivot = v[idx, k]
-        v[:, k] *= np.conj(pivot) / abs(pivot)
-    return v
-
-
 def eig_general(m) -> EigenDecomposition:
     """General (non-Hermitian) eigendecomposition with deterministic output.
 
     Eigenvalues are sorted by descending real part, ties broken by ascending
-    imaginary part.  Within a degenerate cluster (gap <= CLUSTER_TOL after
-    sorting) the eigenvector block is re-orthonormalized so that normal
-    matrices get cond_v ~= 1 regardless of LAPACK's arbitrary basis choice.
+    imaginary part.  Each eigenvalue joins the degenerate cluster of the
+    first eigenvalue within CLUSTER_TOL of it (by distance, not by sort
+    position); each cluster's eigenvector block is re-orthonormalized so
+    that normal matrices get cond_v ~= 1 regardless of LAPACK's arbitrary
+    basis choice.  Columns have unit norm, phase fixed so the
+    largest-magnitude entry is positive real (cond(V) is only reproducible
+    under this convention).
 
     Raises DefectiveMatrixError when the eigenvector basis is numerically
     singular (residual or dual-basis check beyond DEFECTIVE_TOL).
@@ -116,7 +109,9 @@ def eig_general(m) -> EigenDecomposition:
     lam = lam[order]
     v = v[:, order]
 
-    # Re-orthonormalize degenerate clusters (chained gap <= CLUSTER_TOL).
+    # Roundoff in Re(lambda) can sort a conjugate between two copies of one
+    # eigenvalue (the directed torus), so sort neighbours are not enough to
+    # find a cluster; the label is the first eigenvalue within CLUSTER_TOL.
     # A cluster of merely close (not equal) eigenvalues has distinct
     # eigendirections that QR would destroy, so the swap is kept only when
     # the block residual stays at roundoff level.  LAPACK may also return
@@ -129,22 +124,20 @@ def eig_general(m) -> EigenDecomposition:
         block_residual = np.linalg.norm(m @ q - q * mu)
         return block_residual <= 1e-10 * max(1.0, m_norm)
 
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(lam[j] - lam[j - 1]) <= CLUSTER_TOL:
-            j += 1
-        if j - i > 1:
-            mu = lam[i:j]
-            q, _ = np.linalg.qr(v[:, i:j])
-            if not invariant(q, mu):
-                shifted = m - np.mean(mu) * np.eye(n)
-                q = np.linalg.svd(shifted)[2][i - j:].conj().T
-            if invariant(q, mu):
-                v[:, i:j] = q
-        i = j
+    labels = (np.abs(lam[:, None] - lam) <= CLUSTER_TOL).argmax(axis=1)
+    for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
+        idx = np.flatnonzero(labels == label)
+        mu = lam[idx]
+        q, _ = np.linalg.qr(v[:, idx])
+        if not invariant(q, mu):
+            shifted = m - np.mean(mu) * np.eye(n)
+            q = np.linalg.svd(shifted)[2][-idx.size:].conj().T
+        if invariant(q, mu):
+            v[:, idx] = q
 
-    v = _normalize_columns(v)
+    v = v / np.linalg.norm(v, axis=0)
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    v *= np.conj(pivot) / np.abs(pivot)
 
     sigma = np.linalg.svd(v, compute_uv=False)
     if sigma[-1] <= RANK_RCOND * sigma[0]:

@@ -99,7 +99,7 @@ def stationary(op: TransitionOperator) -> StationaryDistribution:
     dec = op.eig
     dist = np.abs(dec.eigenvalues - 1.0)
     k = int(np.argmin(dist))
-    near_one = np.count_nonzero(dist <= 1e-8)
+    near_one = np.count_nonzero(dist <= linalg.CLUSTER_TOL)
     if near_one > 1:
         raise NotIrreducibleError(
             f"eigenvalue 1 has multiplicity {near_one}; chain is not irreducible"

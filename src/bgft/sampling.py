@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidSizeError, RankDeficientError
+from .errors import InvalidNodeError, InvalidSizeError, RankDeficientError
 from .transform import BgftBasis
 
 
@@ -38,7 +38,7 @@ class BandSupport:
 
 @dataclass(frozen=True)
 class SamplingSet:
-    """Sorted distinct node indices."""
+    """Sorted distinct nonnegative node indices."""
 
     nodes: tuple
 
@@ -46,11 +46,19 @@ class SamplingSet:
         idx = tuple(sorted(int(i) for i in self.nodes))
         if len(idx) == 0 or len(set(idx)) != len(idx):
             raise InvalidSizeError("sampling set must be nonempty and distinct")
+        if idx[0] < 0:
+            raise InvalidNodeError(f"sampling node {idx[0]} is negative")
         object.__setattr__(self, "nodes", idx)
 
     @property
     def m(self) -> int:
         return len(self.nodes)
+
+    def rows(self, n: int) -> list:
+        """The nodes as a row index into an n-node signal or basis."""
+        if self.nodes[-1] >= n:
+            raise InvalidNodeError(f"sampling node {self.nodes[-1]} out of range for n={n}")
+        return list(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ def random_bandlimited(basis: BgftBasis, omega: BandSupport, rng_seed: int) -> n
 
 def sample(x, m_set: SamplingSet) -> np.ndarray:
     x = linalg.as_vector(x)
-    return x[list(m_set.nodes)]
+    return x[m_set.rows(x.shape[0])]
 
 
 def reconstruct(
@@ -109,7 +117,7 @@ def reconstruct(
         raise ValueError(f"eta_norm must be finite and >= 0, got {eta_norm}")
     y = linalg.as_vector(y, m_set.m)
     v_o = band_vectors(basis, omega)
-    b = v_o[list(m_set.nodes), :]
+    b = v_o[m_set.rows(basis.n), :]
     sol = linalg.lstsq(b, y)
     x_hat = v_o @ sol.coeffs
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +211,8 @@ BAD_INPUTS = [
                  "neg.mtx:0: adjacency entries must be nonnegative", id="negative-mtx-entry"),
     pytest.param(["indices", "--graph", "file", "--input", "{tmp}/nan.mtx"], None,
                  "nan.mtx:0: adjacency entries must be finite", id="nan-mtx-entry"),
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/complex.mtx"], None,
+                 "complex.mtx:0: complex entries are not supported", id="complex-mtx-entry"),
 ]
 
 # Input files the BAD_INPUTS rows name as {tmp}/<name>.
@@ -218,6 +223,8 @@ BAD_FILES = {
     "x.sig": "1.0\n0.0\n0.0\n",
     "neg.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 -1.0\n3 1 1.0\n",
     "nan.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 nan\n3 1 1.0\n",
+    "complex.mtx": "%%MatrixMarket matrix coordinate complex general\n"
+                   "3 3 3\n1 2 1.0 0.5\n2 3 1.0 0.0\n3 1 1.0 0.0\n",
 }
 
 
@@ -258,6 +265,26 @@ class TestBadInput:
 
         monkeypatch.setattr(bgft.markov, "transition", no_transition)
         assert main(["table1", "--n", "512", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("graph", [["--n", "512"], ["--graph", "file", "--input", "{tmp}"]],
+                             ids=["generated", "file"])
+    @pytest.mark.parametrize("argv,message", [
+        (["--k", "30", "--m", "20"], "need 1 <= K <= m <= n, got K=30 m=20"),
+        (["--noise", "-1"], "--noise must be finite and >= 0, got -1.0"),
+    ], ids=["k-above-m", "negative-noise"])
+    def test_reconstruct_trial_checked_first(self, graph, argv, message, tmp_path,
+                                             monkeypatch, capsys):
+        # Refused once the graph's n is known, before it is decomposed.
+        def no_transition(g):
+            raise AssertionError(f"transition built for n={g.n}")
+
+        path = tmp_path / "c.edges"
+        bgft.save_edge_list(bgft.directed_cycle(40), path)
+        monkeypatch.setattr(bgft.markov, "transition", no_transition)
+        graph = [a.replace("{tmp}", str(path)) for a in graph]
+        assert main(["reconstruct", *graph, *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
@@ -318,3 +345,14 @@ class TestTable1:
         out2 = tmp_path / "flag.csv"
         run(["table1", "--format", "csv", "--seed", "17"], out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_import_loads_no_scipy():
+    # scipy roughly doubles a fresh process's import time and memory, and
+    # every bgft invocation pays for it; only reading a .mtx file needs it.
+    src = str(Path(bgft.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bgft, bgft.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

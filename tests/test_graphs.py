@@ -165,6 +165,14 @@ class TestFileIO:
         with pytest.raises(EdgeListParseError, match="bad.mtx"):
             bgft.load_matrix_market(path)
 
+    def test_matrix_market_complex_rejected(self, tmp_path):
+        # The imaginary parts are not dropped with a warning.
+        path = tmp_path / "c.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                        "3 3 3\n1 2 1.0 0.5\n2 3 1.0 0.0\n3 1 1.0 0.0\n")
+        with pytest.raises(EdgeListParseError, match="c.mtx:0: complex entries"):
+            bgft.load_matrix_market(path)
+
     def test_negative_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 -3.0\n")

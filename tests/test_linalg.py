@@ -8,6 +8,29 @@ from bgft.errors import DefectiveMatrixError
 from conftest import random_digraph
 
 
+def directed_torus(*shape):
+    """Adjacency of the directed torus on a grid of the given shape: one
+    unit edge from each node to its successor along every axis (mod size)."""
+    idx = np.arange(np.prod(shape)).reshape(shape)
+    a = np.zeros((idx.size, idx.size))
+    for axis in range(len(shape)):
+        a[idx.ravel(), np.roll(idx, -1, axis=axis).ravel()] = 1.0
+    return a
+
+
+def planted_normal(seed, pairs=3, copies=2):
+    """Real normal Q D Q^T: D repeats each of `pairs` random rotation-scaling
+    blocks [[a, -b], [b, a]] `copies` times, so each conjugate pair a +- ib
+    is an eigenvalue of multiplicity `copies`; Q is a random orthogonal."""
+    rng = np.random.default_rng(seed)
+    n = 2 * pairs * copies
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.zeros((n, n))
+    for k, (a, b) in enumerate(np.repeat(rng.standard_normal((pairs, 2)), copies, axis=0)):
+        d[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, -b], [b, a]]
+    return q @ d @ q.T
+
+
 class TestEigGeneral:
     def test_identity(self):
         dec = bgft.eig_general(np.eye(3))
@@ -42,6 +65,18 @@ class TestEigGeneral:
             pivot = v[np.argmax(np.abs(v[:, k])), k]
             assert abs(pivot.imag) <= 1e-12
             assert pivot.real > 0
+
+    def test_normalization_matches_column_loop(self):
+        # No repeated eigenvalues, so the columns are LAPACK's, normalized
+        # one at a time here as the reference.
+        m = random_digraph(12, 5).adjacency
+        lam, v = np.linalg.eig(m)
+        v = v[:, np.lexsort((lam.imag, -lam.real))]
+        for k in range(12):
+            v[:, k] /= np.linalg.norm(v[:, k])
+            pivot = v[np.argmax(np.abs(v[:, k])), k]
+            v[:, k] *= np.conj(pivot) / abs(pivot)
+        assert_allclose(bgft.eig_general(m).right_vectors, v, rtol=0, atol=1e-15)
 
     def test_type_invariants(self):
         m = bgft.transition(random_digraph(20, 7)).p
@@ -94,6 +129,18 @@ class TestEigGeneral:
     def test_size_512(self):
         dec = bgft.eig_general(bgft.transition(bgft.directed_cycle(512)).p)
         assert dec.cond_v == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (6, 6), (12, 12), (4, 4, 4)])
+    def test_directed_torus_is_normal_with_unit_cond(self, shape):
+        # Asymmetric but normal: its repeated eigenvalues include conjugate
+        # pairs whose copies roundoff in Re(lambda) sorts apart.
+        p = bgft.transition(bgft.DirectedGraph(directed_torus(*shape))).p
+        assert bgft.departure_from_normality(p) <= 1e-14
+        assert bgft.eig_general(p).cond_v <= 1 + 1e-8
+
+    def test_planted_normal_repeated_pairs_unit_cond(self):
+        conds = {seed: bgft.eig_general(planted_normal(seed)).cond_v for seed in range(50)}
+        assert {seed: c for seed, c in conds.items() if c > 1 + 1e-8} == {}
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

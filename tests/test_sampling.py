@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bgft
-from bgft.errors import InvalidSizeError, RankDeficientError
+from bgft.errors import InvalidNodeError, InvalidSizeError, RankDeficientError
 
 from conftest import random_digraph
 
@@ -74,6 +74,19 @@ class TestRestriction:
         m_set = bgft.SamplingSet(nodes=(7, 1, 4))
         assert m_set.nodes == (1, 4, 7)
         assert_allclose(bgft.sample(x, m_set), x[[1, 4, 7]])
+
+    def test_negative_node_rejected(self):
+        # numpy would wrap -1 to the last node
+        with pytest.raises(InvalidNodeError, match="-1"):
+            bgft.SamplingSet(nodes=(-1, 0, 3, 5))
+
+    def test_node_past_n_rejected(self, perturbed_basis):
+        m_set = bgft.SamplingSet(nodes=(0, 3, 64))
+        with pytest.raises(InvalidNodeError, match="64 out of range for n=64"):
+            bgft.sample(np.zeros(64), m_set)
+        omega = bgft.select_band(perturbed_basis, 2)
+        with pytest.raises(InvalidNodeError, match="64 out of range for n=64"):
+            bgft.reconstruct(perturbed_basis, omega, m_set, np.zeros(3))
 
 
 class TestReconstruct:
