@@ -42,7 +42,10 @@ SEED_NOISE = 2
 
 
 def read_signal(path) -> np.ndarray:
-    """One complex value per line as `re im`; bare reals get im = 0."""
+    """One complex value per line as `re im`; bare reals get im = 0.
+
+    No graph has more than graphs.MAX_NODES nodes, so reading stops with an
+    error at the first value past that many."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -64,6 +67,8 @@ def read_signal(path) -> np.ndarray:
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise BgftError(f"{path}:{lineno}: non-finite value {line!r}")
             values.append(complex(re, im))
+            if len(values) > graphs.MAX_NODES:
+                raise BgftError(f"{path}:{lineno}: more than MAX_NODES={graphs.MAX_NODES} values")
     if not values:
         raise BgftError(f"{path}: empty signal file")
     return np.array(values)
@@ -89,26 +94,25 @@ def generate_graph(kind, n, eps, chord_src=None, chord_dst=None) -> graphs.Direc
     return graphs.add_directed_chord(graphs.directed_cycle(n), eps, src, dst)
 
 
-def input_graph(args) -> graphs.DirectedGraph:
-    """The --graph/--input graph."""
+def load_input(args) -> tuple:
+    """(basis, signal) of a one-graph subcommand; signal is None unless the
+    subcommand reads a signal file.  In order: load the --graph/--input graph,
+    check the sampling trial and read the signal against the graph's n, and
+    only then build P (which refuses a sink node) and decompose it."""
     if args.graph == "file":
         if not args.input:
             raise BgftError("--graph file requires --input PATH")
-        return graphs.load_graph(args.input)
-    return generate_graph(args.graph, args.n, args.eps, args.chord_src, args.chord_dst)
-
-
-def load_basis(args) -> transform.BgftBasis:
-    """The --graph/--input graph's transition operator and its basis."""
-    return transform.decompose(markov.transition(input_graph(args)))
-
-
-def load_signal(path, basis: transform.BgftBasis) -> np.ndarray:
-    """The signal file at path, checked to have one value per node."""
-    x = read_signal(path)
-    if x.shape[0] != basis.n:
-        raise BgftError(f"signal length {x.shape[0]} does not match n={basis.n}")
-    return x
+        g = graphs.load_graph(args.input)
+    else:
+        g = generate_graph(args.graph, args.n, args.eps, args.chord_src, args.chord_dst)
+    if "k" in args:
+        check_trial(args.k, args.m, g.n, args.noise)
+    x = None
+    if "signal" in args:
+        x = read_signal(args.signal)
+        if x.shape[0] != g.n:
+            raise BgftError(f"signal length {x.shape[0]} does not match n={g.n}")
+    return transform.decompose(markov.transition(g)), x
 
 
 def emit_records(records, fmt, stream) -> None:
@@ -158,7 +162,7 @@ def analysis_fields(basis: transform.BgftBasis) -> dict:
 
 
 def cmd_indices(args, stream) -> None:
-    basis = load_basis(args)
+    basis, _ = load_input(args)
     fields = analysis_fields(basis)
     if args.format != "json":
         fields.pop("top_eigenvalues")
@@ -167,8 +171,7 @@ def cmd_indices(args, stream) -> None:
 
 def cmd_filter(args, stream) -> None:
     spec = transform.FilterSpec.heat(args.tau)
-    basis = load_basis(args)
-    x = load_signal(args.signal, basis)
+    basis, x = load_input(args)
     y = transform.apply_filter(basis, spec, x)
     print(f"||x||2 = {float(np.linalg.norm(x))!r} ||Hx||2 = {float(np.linalg.norm(y))!r}",
           file=sys.stderr)
@@ -180,8 +183,7 @@ def cmd_diffuse(args, stream) -> None:
         raise BgftError(f"--t must be >= 0, got {args.t}")
     if args.t > MAX_DIFFUSE_STEPS:
         raise BgftError(f"--t must be <= MAX_DIFFUSE_STEPS={MAX_DIFFUSE_STEPS}, got {args.t}")
-    basis = load_basis(args)
-    x = load_signal(args.signal, basis)
+    basis, x = load_input(args)
     # Iterated here rather than with transform.diffuse_direct, which returns
     # only the last iterate: every step's norm is checked and reported.
     p = basis.operator.p
@@ -245,9 +247,7 @@ def run_reconstruction(basis, k, m, noise, seed):
 
 
 def cmd_reconstruct(args, stream) -> None:
-    g = input_graph(args)
-    check_trial(args.k, args.m, g.n, args.noise)
-    basis = transform.decompose(markov.transition(g))
+    basis, _ = load_input(args)
     rep = run_reconstruction(basis, args.k, args.m, args.noise, args.seed)
     fields = dict(
         rel_err=rep.rel_err,

@@ -26,7 +26,10 @@ class DirectedGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
+        a = np.asarray(self.adjacency)
+        if np.iscomplexobj(a):
+            raise ValueError("adjacency entries must be real")
+        a = a.astype(float, copy=False)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"adjacency must be square and nonempty, got {a.shape}")
         if not np.all(np.isfinite(a)):

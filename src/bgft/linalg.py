@@ -1,13 +1,15 @@
 """Dense linear-algebra kernels with deterministic conventions.
 
-Matrices are plain ``numpy.ndarray`` values.  Real input stays float64 all the
-way into LAPACK (dgeev, not zgeev, for a real transition operator, which also
-returns exact conjugate pairs); complex input is complex128.  Eigenvalues and
-eigenvectors are always returned as complex128.  The kernels here wrap LAPACK
-via numpy but enforce the conventions the rest of the toolkit relies on:
-deterministic eigenvalue ordering, unit-norm phase-fixed eigenvector columns,
-re-orthonormalized degenerate clusters, and explicit detection of numerically
-defective input.
+Arrays are plain ``numpy.ndarray`` values, and one rule admits them:
+as_matrix and as_vector make complex input complex128 and any other input
+float64, and require exactly 2 (or 1) dimensions, no empty axis and finite
+entries.  So real input stays real: a real P goes into LAPACK as dgeev, not
+zgeev (which also returns exact conjugate pairs), and a real signal stays
+float64 through P x.  Eigenvalues and eigenvectors are always returned as
+complex128.  The kernels here wrap LAPACK via numpy but enforce the
+conventions the rest of the toolkit relies on: deterministic eigenvalue
+ordering, unit-norm phase-fixed eigenvector columns, re-orthonormalized
+degenerate clusters, and explicit detection of numerically defective input.
 
 Sizes up to n = 512 are supported and tested; larger inputs work but are
 limited only by memory and O(n^3) runtime.
@@ -42,8 +44,12 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
-    """Validate and convert input to a 1-d complex128 array."""
-    v = np.asarray(x, dtype=complex).ravel()
+    """Validate and convert input to a nonempty 1-d array (of length n when
+    given) by as_matrix's rule: complex128 if complex, float64 otherwise."""
+    v = np.asarray(x)
+    v = v.astype(complex if np.iscomplexobj(v) else float, copy=False)
+    if v.ndim != 1 or v.shape[0] < 1:
+        raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"expected vector of length {n}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
@@ -90,9 +96,10 @@ def eig_general(m) -> EigenDecomposition:
     first eigenvalue within CLUSTER_TOL of it (by distance, not by sort
     position); each cluster's eigenvector block is re-orthonormalized so
     that normal matrices get cond_v ~= 1 regardless of LAPACK's arbitrary
-    basis choice.  Columns have unit norm, phase fixed so the
-    largest-magnitude entry is positive real (cond(V) is only reproducible
-    under this convention).
+    basis choice.  Columns have unit norm, which fixes cond(V); the phase is
+    fixed so that the largest-magnitude entry is positive real.  The phase
+    rule leaves cond(V) unchanged (a unit-modulus column scaling is
+    unitary), but it fixes V itself, U*, and the seeded signals built from V.
 
     Raises DefectiveMatrixError when the eigenvector basis is numerically
     singular (residual or dual-basis check beyond DEFECTIVE_TOL).

@@ -11,12 +11,26 @@ noise amplification bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 from . import linalg
 from .errors import InvalidNodeError, InvalidSizeError, RankDeficientError
 from .transform import BgftBasis
+
+
+def _sorted_indices(values, what, error) -> tuple:
+    """values as a sorted tuple of ints.  Integers of any type (numpy's too)
+    are accepted and anything else raises error; the tuple must be nonempty
+    and distinct (InvalidSizeError)."""
+    try:
+        idx = tuple(sorted(index(i) for i in values))
+    except TypeError:
+        raise error(f"{what} indices must be integers, got {values!r}")
+    if len(idx) == 0 or len(set(idx)) != len(idx):
+        raise InvalidSizeError(f"{what} must be nonempty and distinct")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -26,9 +40,7 @@ class BandSupport:
     omega: tuple
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.omega))
-        if len(idx) == 0 or len(set(idx)) != len(idx):
-            raise InvalidSizeError("band support must be nonempty and distinct")
+        idx = _sorted_indices(self.omega, "band support", InvalidSizeError)
         object.__setattr__(self, "omega", idx)
 
     @property
@@ -43,9 +55,7 @@ class SamplingSet:
     nodes: tuple
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.nodes))
-        if len(idx) == 0 or len(set(idx)) != len(idx):
-            raise InvalidSizeError("sampling set must be nonempty and distinct")
+        idx = _sorted_indices(self.nodes, "sampling set", InvalidNodeError)
         if idx[0] < 0:
             raise InvalidNodeError(f"sampling node {idx[0]} is negative")
         object.__setattr__(self, "nodes", idx)

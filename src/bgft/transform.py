@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -84,9 +85,12 @@ class FilterSpec:
 
     @staticmethod
     def ideal_lowpass(k: int) -> "FilterSpec":
+        try:
+            k = index(k)
+        except TypeError:
+            raise InvalidSizeError(f"ideal lowpass needs an integer k, got {k!r}")
         if k < 1:
             raise InvalidSizeError(f"ideal lowpass needs k >= 1, got {k}")
-        k = int(k)
 
         def response(basis: BgftBasis) -> np.ndarray:
             if k > basis.n:

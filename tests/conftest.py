@@ -28,6 +28,14 @@ def random_reversible_graph(n, seed):
     return bgft.DirectedGraph(w)
 
 
+def transient_chain():
+    """Edges 0 -> 1 -> 2 -> 3 -> 1: node 0 is transient, so the stationary
+    distribution of its chain has a zero entry."""
+    a = np.zeros((4, 4))
+    a[[0, 1, 2, 3], [1, 2, 3, 1]] = 1.0
+    return bgft.DirectedGraph(a)
+
+
 @pytest.fixture(scope="session")
 def canonical_bases():
     """Decomposed operators for the three benchmark graphs at n=64."""

@@ -9,9 +9,21 @@ import pytest
 import bgft
 from bgft.cli import main, read_signal, write_signal
 
+from conftest import transient_chain
+
 
 def run(args, out_path):
     return main(args + ["--out", str(out_path)])
+
+
+@pytest.fixture
+def no_transition(monkeypatch):
+    """Make building a transition operator fail: a command that reaches it
+    has not refused its input first."""
+    def transition(g):
+        raise AssertionError(f"transition built for n={g.n}")
+
+    monkeypatch.setattr(bgft.markov, "transition", transition)
 
 
 class TestSignalIO:
@@ -31,6 +43,14 @@ class TestSignalIO:
         path = tmp_path / "sig.txt"
         path.write_text("1.0\nx y\n")
         with pytest.raises(bgft.BgftError):
+            read_signal(path)
+
+    def test_stops_past_node_cap(self, tmp_path):
+        path = tmp_path / "long.sig"
+        path.write_text("1.0\n" * bgft.graphs.MAX_NODES)
+        assert read_signal(path).shape == (bgft.graphs.MAX_NODES,)
+        path.write_text("1.0\n" * (bgft.graphs.MAX_NODES + 1))
+        with pytest.raises(bgft.BgftError, match="long.sig:4097: more than MAX_NODES=4096"):
             read_signal(path)
 
 
@@ -76,6 +96,14 @@ class TestIndices:
                     "--format", "json"], out) == 0
         rec = json.loads(out.read_text())[0]
         assert rec["alpha"] == pytest.approx(np.sqrt(2), abs=1e-12)
+
+    def test_transient_node_not_reversible(self, tmp_path, capsys):
+        # stationary() refuses the chain, which indices reports as False
+        gpath = tmp_path / "t.edges"
+        bgft.save_edge_list(transient_chain(), gpath)
+        assert main(["indices", "--graph", "file", "--input", str(gpath)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(), row.split()))["reversible"] == "False"
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -243,13 +271,9 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
-    def test_generated_graph_over_cap(self, monkeypatch, capsys):
+    def test_generated_graph_over_cap(self, no_transition, capsys):
         # Refused before the transition operator is built: without the cap
         # this would eigendecompose a 4097-node operator.
-        def no_transition(g):
-            raise AssertionError(f"transition built for n={g.n}")
-
-        monkeypatch.setattr(bgft.markov, "transition", no_transition)
         assert main(["indices", "--graph", "directed-cycle", "--n", "4097"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "MAX_NODES=4096, got 4097" in err
@@ -258,12 +282,8 @@ class TestBadInput:
         (["--k", "30", "--m", "20"], "need 1 <= K <= m <= n, got K=30 m=20 n=512"),
         (["--noise", "-1"], "--noise must be finite and >= 0, got -1.0"),
     ])
-    def test_table1_trial_checked_first(self, argv, message, monkeypatch, capsys):
+    def test_table1_trial_checked_first(self, argv, message, no_transition, capsys):
         # Refused from --n before the first graph is decomposed.
-        def no_transition(g):
-            raise AssertionError(f"transition built for n={g.n}")
-
-        monkeypatch.setattr(bgft.markov, "transition", no_transition)
         assert main(["table1", "--n", "512", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -275,17 +295,31 @@ class TestBadInput:
         (["--noise", "-1"], "--noise must be finite and >= 0, got -1.0"),
     ], ids=["k-above-m", "negative-noise"])
     def test_reconstruct_trial_checked_first(self, graph, argv, message, tmp_path,
-                                             monkeypatch, capsys):
+                                             no_transition, capsys):
         # Refused once the graph's n is known, before it is decomposed.
-        def no_transition(g):
-            raise AssertionError(f"transition built for n={g.n}")
-
         path = tmp_path / "c.edges"
         bgft.save_edge_list(bgft.directed_cycle(40), path)
-        monkeypatch.setattr(bgft.markov, "transition", no_transition)
         graph = [a.replace("{tmp}", str(path)) for a in graph]
         assert main(["reconstruct", *graph, *argv]) == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["filter", "{tmp}/x.sig", "--graph", "file", "--input", "{tmp}/c.edges"],
+         "signal length 3 does not match n=40"),
+        (["filter", "{tmp}/x.sig", "--n", "512"], "signal length 3 does not match n=512"),
+        (["diffuse", "{tmp}/missing", "--n", "512"], "cannot read signal file"),
+        (["diffuse", "{tmp}/nan.sig", "--graph", "directed-cycle"],
+         "nan.sig:2: non-finite value"),
+    ], ids=["filter-file-graph-length", "filter-length", "diffuse-missing", "diffuse-nan"])
+    def test_signal_checked_first(self, argv, message, tmp_path, no_transition, capsys):
+        # Read and checked against the graph's n before the graph is decomposed.
+        bgft.save_edge_list(bgft.directed_cycle(40), tmp_path / "c.edges")
+        for name in ("x.sig", "nan.sig"):
+            (tmp_path / name).write_text(BAD_FILES[name])
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and message in err
 
     def test_help_with_bad_env_seed(self, monkeypatch, capsys):

@@ -185,6 +185,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             bgft.DirectedGraph(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
+    def test_rejects_complex_adjacency(self):
+        # a float cast would keep weight 1.0 with only a ComplexWarning
+        with pytest.raises(ValueError, match="adjacency entries must be real"):
+            bgft.DirectedGraph([[0, 1 + 5j, 0], [0, 0, 1], [1, 0, 0]])
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             bgft.DirectedGraph(np.zeros((2, 3)))

@@ -114,6 +114,16 @@ class TestEigGeneral:
         assert dec.cond_v == pytest.approx(1.0, abs=1e-12)
         assert dec.residual <= 1e-14
         assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
+        # The same happens on the 4-cycle with edge weights (1, 2, 2, 1):
+        # reversible, but P is not symmetric.  Without the null-space basis
+        # it reads cond_v ~ 8e7.
+        a = np.zeros((4, 4))
+        for i, w in enumerate((1, 2, 2, 1)):
+            a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = w
+        dec = bgft.eig_general(bgft.transition(bgft.DirectedGraph(a)).p)
+        assert dec.cond_v <= 1.5
+        assert dec.residual <= 1e-14
+        assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
 
     def test_jordan_block_defective(self):
         with pytest.raises(DefectiveMatrixError):
@@ -145,6 +155,37 @@ class TestEigGeneral:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             bgft.eig_general([[np.nan, 0], [0, 1]])
+
+
+class TestArrayRule:
+    # as_matrix and as_vector convert by one rule: complex128 if the input
+    # is complex, float64 otherwise; exact dimensions, nonempty, finite.
+    @pytest.mark.parametrize("x,dtype", [
+        ([1, 2], np.float64),
+        (np.arange(3, dtype=np.int32), np.float64),
+        (np.ones(2, dtype=np.float32), np.float64),
+        ([True, False], np.float64),
+        ([1.0, 2j], np.complex128),
+        (np.ones(2, dtype=np.complex64), np.complex128),
+    ])
+    def test_dtype(self, x, dtype):
+        assert bgft.linalg.as_vector(x).dtype == dtype
+        assert bgft.linalg.as_matrix([x]).dtype == dtype
+
+    def test_real_float64_vector_not_copied(self):
+        x = np.arange(3.0)
+        assert bgft.linalg.as_vector(x) is x
+
+    @pytest.mark.parametrize("x", [np.ones((2, 2)), np.ones((3, 1)), 1.0, []])
+    def test_vector_needs_one_nonempty_dimension(self, x):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            bgft.linalg.as_vector(x)
+
+    def test_vector_length_and_finite(self):
+        with pytest.raises(ValueError, match="expected vector of length 3, got 2"):
+            bgft.linalg.as_vector([1.0, 2.0], 3)
+        with pytest.raises(ValueError, match="finite"):
+            bgft.linalg.as_vector([1.0, np.inf])
 
 
 class TestSvd:

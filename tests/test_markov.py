@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import bgft
 from bgft.errors import NotIrreducibleError, SinkNodeError
 
-from conftest import random_digraph, random_reversible_graph
+from conftest import random_digraph, random_reversible_graph, transient_chain
 
 
 class TestTransition:
@@ -111,6 +111,11 @@ class TestStationary:
         a[3:, 3:] = bgft.directed_cycle(3).adjacency
         with pytest.raises(NotIrreducibleError):
             bgft.stationary(bgft.transition(bgft.DirectedGraph(a)))
+
+    def test_transient_node_raises(self):
+        # eigenvalue 1 is simple, but pi vanishes on the transient node
+        with pytest.raises(NotIrreducibleError, match="zero entry"):
+            bgft.stationary(bgft.transition(transient_chain()))
 
 
 class TestOneEigendecomposition:

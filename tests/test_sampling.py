@@ -29,6 +29,11 @@ class TestSelectBand:
         oracle = set(np.argsort(-perturbed_basis.eigenvalues.real)[:8])
         assert set(omega.omega) == oracle
 
+    @pytest.mark.parametrize("omega", [(2.7,), (np.float64(1.0), 2)])
+    def test_non_integer_mode_rejected(self, omega):
+        with pytest.raises(InvalidSizeError, match="indices must be integers"):
+            bgft.BandSupport(omega=omega)
+
     def test_out_of_range(self, perturbed_basis):
         with pytest.raises(InvalidSizeError):
             bgft.select_band(perturbed_basis, 0)
@@ -74,6 +79,15 @@ class TestRestriction:
         m_set = bgft.SamplingSet(nodes=(7, 1, 4))
         assert m_set.nodes == (1, 4, 7)
         assert_allclose(bgft.sample(x, m_set), x[[1, 4, 7]])
+
+    @pytest.mark.parametrize("nodes", [(1.9, 0.2), (np.float64(1.0),), (True, 3.99)])
+    def test_non_integer_node_rejected(self, nodes):
+        # int() would truncate 1.9 to 1
+        with pytest.raises(InvalidNodeError, match="indices must be integers"):
+            bgft.SamplingSet(nodes=nodes)
+
+    def test_numpy_integer_nodes(self):
+        assert bgft.SamplingSet(nodes=(np.int64(4), np.int32(2))).nodes == (2, 4)
 
     def test_negative_node_rejected(self):
         # numpy would wrap -1 to the last node

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bgft
+from bgft.errors import InvalidSizeError
 from bgft.transform import FilterSpec
 
 from conftest import random_digraph, random_reversible_graph
@@ -92,6 +93,12 @@ class TestAnalyzeSynthesize:
             e_j[j] = 1
             assert np.linalg.norm(xhat - e_j) <= 1e-8
 
+    def test_matrix_signal_rejected(self, canonical_bases):
+        # 64 entries, but a signal is 1-d: no silent flattening.
+        _, basis = canonical_bases["perturbed"]
+        with pytest.raises(ValueError, match="1-d"):
+            bgft.analyze(basis, np.ones((8, 8)))
+
     def test_zero_maps_to_zero(self, canonical_bases):
         _, basis = canonical_bases["directed"]
         assert_allclose(bgft.analyze(basis, np.zeros(64)), np.zeros(64))
@@ -139,6 +146,14 @@ class TestDiffusion:
         got = bgft.diffuse_spectral(basis, basis.right_vectors[:, k], t)
         want = basis.eigenvalues[k] ** t * basis.right_vectors[:, k]
         assert np.linalg.norm(got - want) <= 1e-8
+
+    def test_real_signal_stays_real(self, canonical_bases):
+        op, _ = canonical_bases["perturbed"]
+        x = np.random.default_rng(5).standard_normal(64)
+        real = bgft.diffuse_direct(op, x, 50)
+        assert real.dtype == np.float64
+        via_complex = bgft.diffuse_direct(op, x.astype(complex), 50)
+        assert np.linalg.norm(real - via_complex) <= 1e-14 * np.linalg.norm(via_complex)
 
     def test_spectral_agrees_with_direct(self, property_suite):
         rng = np.random.default_rng(50)
@@ -199,6 +214,16 @@ class TestFilters:
         assert np.linalg.norm(
             bgft.filter_matrix(basis, spec) - np.eye(64)
         ) <= 1e-8 * 64
+
+    @pytest.mark.parametrize("k", [2.7, np.float64(2.0), "3"])
+    def test_ideal_lowpass_rejects_non_integer(self, k):
+        with pytest.raises(InvalidSizeError, match="integer k"):
+            FilterSpec.ideal_lowpass(k)
+
+    def test_ideal_lowpass_accepts_numpy_integer(self, canonical_bases):
+        _, basis = canonical_bases["perturbed"]
+        spec = FilterSpec.ideal_lowpass(np.int64(3))
+        assert np.count_nonzero(spec.response(basis)) == 3
 
     def test_heat_rejects_negative_tau(self):
         with pytest.raises(ValueError):
