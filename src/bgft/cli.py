@@ -30,7 +30,7 @@ import numpy as np
 from . import graphs, markov, sampling, transform
 from .errors import BgftError
 
-DEFAULTS = dict(n=64, eps=20.0, k=8, m=20, tau=2.0, noise=0.0, seed=0)
+DEFAULTS = dict(n=64, eps=20.0, k=8, m=20, tau=transform.DEFAULT_TAU, noise=0.0, seed=0, t=20)
 
 # diffuse keeps one output record per step, so --t is capped.
 MAX_DIFFUSE_STEPS = 10_000
@@ -315,7 +315,7 @@ def make_parser() -> argparse.ArgumentParser:
                 format_help="accepted but unused: the output is always a signal file")
     p.add_argument("--tau", type=float, default=DEFAULTS["tau"])
     p = command("diffuse", "iterate diffusion, log norms", signal=True)
-    p.add_argument("--t", type=int, default=20, help="diffusion steps")
+    p.add_argument("--t", type=int, default=DEFAULTS["t"], help="diffusion steps")
     command("reconstruct", "bandlimited sampling experiment", trial=True)
     command("table1", "three-graph benchmark table", graph=False, trial=True)
     return parser

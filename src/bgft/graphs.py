@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BgftError, EdgeListParseError, InvalidNodeError, InvalidSizeError
+from .linalg import as_array
 
 # Largest node count of a generated graph or a graph file.  The adjacency is
 # dense float64, so 4096 nodes is 128 MB; the generators and loaders check
@@ -26,14 +27,11 @@ class DirectedGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency)
-        if np.iscomplexobj(a):
+        if np.iscomplexobj(self.adjacency):
             raise ValueError("adjacency entries must be real")
-        a = a.astype(float, copy=False)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"adjacency must be square and nonempty, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("adjacency entries must be finite")
+        a = as_array(self.adjacency, 2, "adjacency")
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got {a.shape}")
         if np.any(a < 0):
             raise ValueError("adjacency entries must be nonnegative")
         object.__setattr__(self, "adjacency", a)
@@ -100,7 +98,7 @@ def load_edge_list(path) -> DirectedGraph:
     must be below it; otherwise the count is 1 + max node index seen.  Either
     way the count is at most MAX_NODES.
     """
-    edges = []
+    weights = {}  # (i, j) -> summed weight, summed in file order
     nodes = None  # from the `# nodes N` header
     top = 0  # 1 + largest node index seen
     with open(path) as fh:
@@ -147,14 +145,14 @@ def load_edge_list(path) -> DirectedGraph:
                 )
             if w < 0 or not np.isfinite(w):
                 raise EdgeListParseError(path, lineno, f"bad weight {w!r}")
-            edges.append((i, j, w))
+            weights[i, j] = weights.get((i, j), 0.0) + w
             top = max(top, i + 1, j + 1)
     n = top if nodes is None else nodes
     if n == 0:
         raise EdgeListParseError(path, 0, "empty graph file")
     a = np.zeros((n, n))
-    for i, j, w in edges:
-        a[i, j] += w
+    for (i, j), w in weights.items():
+        a[i, j] = w
     return DirectedGraph(a)
 
 
@@ -175,9 +173,8 @@ def load_matrix_market(path) -> DirectedGraph:
         raise EdgeListParseError(
             path, 0, f"node count {m.shape[0]} > MAX_NODES={MAX_NODES}"
         )
-    a = np.asarray(m.todense() if hasattr(m, "todense") else m, dtype=float)
     try:
-        return DirectedGraph(a)
+        return DirectedGraph(m.todense() if hasattr(m, "todense") else m)
     except ValueError as exc:
         raise EdgeListParseError(path, 0, str(exc))
 

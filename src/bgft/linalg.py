@@ -1,13 +1,15 @@
 """Dense linear-algebra kernels with deterministic conventions.
 
-Arrays are plain ``numpy.ndarray`` values, and one rule admits them:
-as_matrix and as_vector make complex input complex128 and any other input
-float64, and require exactly 2 (or 1) dimensions, no empty axis and finite
-entries.  So real input stays real: a real P goes into LAPACK as dgeev, not
-zgeev (which also returns exact conjugate pairs), and a real signal stays
-float64 through P x.  Eigenvalues and eigenvectors are always returned as
-complex128.  The kernels here wrap LAPACK via numpy but enforce the
-conventions the rest of the toolkit relies on: deterministic eigenvalue
+Arrays are plain ``numpy.ndarray`` values.  One rule, as_array, admits them
+(as_matrix, as_vector, graphs.DirectedGraph, transform.FilterSpec.custom):
+complex input becomes complex128, any other input float64, with exactly the
+expected number of dimensions, no empty axis and finite entries.  So real
+input stays real: a real P goes into LAPACK as dgeev, not zgeev (which also
+returns exact conjugate pairs), and a real signal stays float64 through P x.
+Counts (t, k, m) pass through as_count: integers of any type, numpy's too,
+pass and floats are refused.  Eigenvalues and eigenvectors are always
+returned as complex128.  The kernels here wrap LAPACK via numpy but enforce
+the conventions the rest of the toolkit relies on: deterministic eigenvalue
 ordering, unit-norm phase-fixed eigenvector columns, re-orthonormalized
 degenerate clusters, and explicit detection of numerically defective input.
 
@@ -18,6 +20,7 @@ limited only by memory and O(n^3) runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -31,30 +34,43 @@ DEFECTIVE_TOL = 1e-6
 RANK_RCOND = 1e-12
 
 
+def as_array(a, ndim: int, kind: str) -> np.ndarray:
+    """a as an ndim-d array, nonempty on every axis and finite: complex128 if
+    the input is complex, else float64 (no copy if it already is).  kind
+    names the value in the ValueError messages."""
+    arr = np.asarray(a)
+    arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"expected a nonempty {ndim}-d {kind}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{kind} entries must be finite")
+    return arr
+
+
 def as_matrix(a) -> np.ndarray:
-    """Validate and convert input to a 2-d array: complex128 if the input is
-    complex, float64 otherwise."""
-    m = np.asarray(a)
-    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    """as_array's rule for a 2-d matrix."""
+    return as_array(a, 2, "matrix")
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
-    """Validate and convert input to a nonempty 1-d array (of length n when
-    given) by as_matrix's rule: complex128 if complex, float64 otherwise."""
-    v = np.asarray(x)
-    v = v.astype(complex if np.iscomplexobj(v) else float, copy=False)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
+    """as_array's rule for a 1-d vector, of length n when given."""
+    v = as_array(x, 1, "vector")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"expected vector of length {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
     return v
+
+
+def as_count(value, what: str, low: int, high: int | None = None, error=ValueError) -> int:
+    """value as an int in low..high (unbounded above if high is None), else
+    raise error.  Integers of any type, numpy's too, pass; floats do not."""
+    try:
+        count = index(value)
+    except TypeError:
+        raise error(f"expected an integer {what}, got {value!r}")
+    if count < low or (high is not None and count > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise error(f"{what} must be {span}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from .errors import (
     NotIrreducibleError,
     SinkNodeError,
 )
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, out_degrees
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-10
@@ -57,7 +57,7 @@ class StationaryDistribution:
 
 def transition(g: DirectedGraph) -> TransitionOperator:
     """P = D_out^{-1} A (rows normalized by out-degree)."""
-    d = g.adjacency.sum(axis=1)
+    d = out_degrees(g)
     sinks = np.nonzero(d == 0)[0]
     if sinks.size:
         raise SinkNodeError(int(sinks[0]))

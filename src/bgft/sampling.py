@@ -22,20 +22,22 @@ from .transform import BgftBasis
 
 def _sorted_indices(values, what, error) -> tuple:
     """values as a sorted tuple of ints.  Integers of any type (numpy's too)
-    are accepted and anything else raises error; the tuple must be nonempty
-    and distinct (InvalidSizeError)."""
+    are accepted, and anything else or a negative index raises error; the
+    tuple must be nonempty and distinct (InvalidSizeError)."""
     try:
         idx = tuple(sorted(index(i) for i in values))
     except TypeError:
         raise error(f"{what} indices must be integers, got {values!r}")
     if len(idx) == 0 or len(set(idx)) != len(idx):
         raise InvalidSizeError(f"{what} must be nonempty and distinct")
+    if idx[0] < 0:
+        raise error(f"{what} index {idx[0]} is negative")
     return idx
 
 
 @dataclass(frozen=True)
 class BandSupport:
-    """Sorted distinct mode indices into a basis."""
+    """Sorted distinct nonnegative mode indices into a basis."""
 
     omega: tuple
 
@@ -56,8 +58,6 @@ class SamplingSet:
 
     def __post_init__(self):
         idx = _sorted_indices(self.nodes, "sampling set", InvalidNodeError)
-        if idx[0] < 0:
-            raise InvalidNodeError(f"sampling node {idx[0]} is negative")
         object.__setattr__(self, "nodes", idx)
 
     @property
@@ -83,16 +83,14 @@ class ReconstructionReport:
 
 def select_band(basis: BgftBasis, k: int) -> BandSupport:
     """The k slowest modes (smallest decay rate, i.e. largest Re lambda)."""
-    if not (1 <= k <= basis.n):
-        raise InvalidSizeError(f"band size {k} outside 1..{basis.n}")
+    k = linalg.as_count(k, "band size", 1, basis.n, InvalidSizeError)
     return BandSupport(omega=tuple(basis.order[:k]))
 
 
 def band_vectors(basis: BgftBasis, omega: BandSupport) -> np.ndarray:
     """V_Omega: the band's right-eigenvector columns, sorted index order."""
-    for i in omega.omega:
-        if not (0 <= i < basis.n):
-            raise InvalidSizeError(f"mode index {i} out of range")
+    if omega.omega[-1] >= basis.n:
+        raise InvalidSizeError(f"mode index {omega.omega[-1]} out of range")
     return basis.right_vectors[:, list(omega.omega)]
 
 
@@ -178,8 +176,7 @@ def noise_bound(
 
 def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:
     """m nodes uniformly without replacement from the seeded PCG64 rng."""
-    if not (1 <= m <= n):
-        raise InvalidSizeError(f"sample count {m} outside 1..{n}")
+    m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
     rng = np.random.default_rng(rng_seed)
     return SamplingSet(nodes=tuple(rng.choice(n, size=m, replace=False)))
 
@@ -198,8 +195,7 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     of one exchange scan from a given candidate on, share one stacked SVD.
     """
     n = basis.n
-    if not (1 <= m <= n):
-        raise InvalidSizeError(f"sample count {m} outside 1..{n}")
+    m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
     v_o = band_vectors(basis, omega)
     sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
 

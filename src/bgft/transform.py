@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 
 import numpy as np
 
@@ -71,7 +70,7 @@ class FilterSpec:
     eigenvalue, in basis index order.  Constructors:
       heat(tau):          h(lambda) = exp(-tau * (1 - lambda)), finite tau >= 0
       ideal_lowpass(k):   1 on the k slowest modes (basis order), else 0
-      custom(samples):    explicit per-mode table h(lambda_k), basis index order
+      custom(samples):    finite 1-d table h(lambda_k), one per mode, basis index order
     """
 
     response: Callable[[BgftBasis], np.ndarray]
@@ -85,16 +84,10 @@ class FilterSpec:
 
     @staticmethod
     def ideal_lowpass(k: int) -> "FilterSpec":
-        try:
-            k = index(k)
-        except TypeError:
-            raise InvalidSizeError(f"ideal lowpass needs an integer k, got {k!r}")
-        if k < 1:
-            raise InvalidSizeError(f"ideal lowpass needs k >= 1, got {k}")
+        k = linalg.as_count(k, "k", 1, error=InvalidSizeError)
 
         def response(basis: BgftBasis) -> np.ndarray:
-            if k > basis.n:
-                raise InvalidSizeError(f"lowpass band {k} exceeds n={basis.n}")
+            linalg.as_count(k, "k", 1, basis.n, InvalidSizeError)
             h = np.zeros(basis.n, dtype=complex)
             h[basis.order[:k]] = 1.0
             return h
@@ -103,10 +96,10 @@ class FilterSpec:
 
     @staticmethod
     def custom(samples) -> "FilterSpec":
-        samples = np.asarray(samples, dtype=complex)
+        samples = linalg.as_vector(samples)
 
         def response(basis: BgftBasis) -> np.ndarray:
-            if samples.shape[:1] != (basis.n,):
+            if samples.shape[0] != basis.n:
                 raise ValueError("custom filter table must have one entry per mode")
             return samples
 
@@ -143,8 +136,7 @@ def synthesize(basis: BgftBasis, xhat) -> np.ndarray:
 
 def diffuse_direct(op: TransitionOperator, x0, t: int) -> np.ndarray:
     """P^t x0 by repeated matvec."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = linalg.as_count(t, "t", 0)
     x = linalg.as_vector(x0, op.n)
     for _ in range(t):
         x = op.p @ x
@@ -153,8 +145,7 @@ def diffuse_direct(op: TransitionOperator, x0, t: int) -> np.ndarray:
 
 def diffuse_spectral(basis: BgftBasis, x0, t: int) -> np.ndarray:
     """P^t x0 via the diagonal spectral path V Lambda^t U* x0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = linalg.as_count(t, "t", 0)
     xhat = analyze(basis, x0)
     return synthesize(basis, basis.eigenvalues**t * xhat)
 
@@ -172,8 +163,7 @@ def filter_matrix(basis: BgftBasis, spec: FilterSpec) -> np.ndarray:
 
 def iterate_bound(basis: BgftBasis, t: int) -> float:
     """Operator-norm bound cond(V) * max_k |lambda_k|^t for ||P^t||_2."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = linalg.as_count(t, "t", 0)
     return basis.cond_v * float(np.max(np.abs(basis.eigenvalues)) ** t)
 
 

@@ -241,6 +241,21 @@ BAD_INPUTS = [
                  "nan.mtx:0: adjacency entries must be finite", id="nan-mtx-entry"),
     pytest.param(["indices", "--graph", "file", "--input", "{tmp}/complex.mtx"], None,
                  "complex.mtx:0: complex entries are not supported", id="complex-mtx-entry"),
+    pytest.param(["filter", "{tmp}/cols.sig"], None, "cols.sig:2: expected 're im'",
+                 id="signal-line-columns"),
+    pytest.param(["diffuse", "{tmp}/empty.sig"], None, "empty.sig: empty signal file",
+                 id="empty-signal"),
+    pytest.param(["indices", "--graph", "file"], None, "--graph file requires --input PATH",
+                 id="file-without-input"),
+    *[pytest.param(["indices", "--graph", "file", "--input", "{tmp}/" + name], None, message,
+                   id=name) for name, message in [
+        ("count.edges", "count.edges:1: bad node count"),
+        ("cols.edges", "cols.edges:2: expected 'src dst [weight]'"),
+        ("neg.edges", "neg.edges:2: negative node index"),
+        ("empty.edges", "empty.edges:0: empty graph file"),
+        ("text.mtx", "text.mtx:0: not a readable Matrix Market file"),
+        ("wide.mtx", "wide.mtx:0: adjacency must be square, got (2, 3)"),
+    ]],
 ]
 
 # Input files the BAD_INPUTS rows name as {tmp}/<name>.
@@ -253,6 +268,14 @@ BAD_FILES = {
     "nan.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 nan\n3 1 1.0\n",
     "complex.mtx": "%%MatrixMarket matrix coordinate complex general\n"
                    "3 3 3\n1 2 1.0 0.5\n2 3 1.0 0.0\n3 1 1.0 0.0\n",
+    "cols.sig": "1.0\n1.0 2.0 3.0\n",
+    "empty.sig": "# no values\n\n",
+    "count.edges": "# nodes three\n0 1\n",
+    "cols.edges": "0 1\n0 1 1.0 2.0\n",
+    "neg.edges": "0 1\n-1 0\n",
+    "empty.edges": "# only a comment\n",
+    "text.mtx": "not a Matrix Market file\n",
+    "wide.mtx": "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1.0\n",
 }
 
 

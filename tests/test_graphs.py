@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -172,6 +174,19 @@ class TestFileIO:
                         "3 3 3\n1 2 1.0 0.5\n2 3 1.0 0.0\n3 1 1.0 0.0\n")
         with pytest.raises(EdgeListParseError, match="c.mtx:0: complex entries"):
             bgft.load_matrix_market(path)
+
+    def test_repeated_edges_summed_as_read(self, tmp_path):
+        # Memory follows the distinct edges, not the lines of the file.
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 2\n2 0\n" + "0 1\n" * 20_000)
+        tracemalloc.start()
+        try:
+            g = bgft.load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.adjacency[0, 1] == 20_001.0
+        assert peak < 0.5e6
 
     def test_negative_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.edges"

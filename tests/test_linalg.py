@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bgft
-from bgft.errors import DefectiveMatrixError
+from bgft.errors import DefectiveMatrixError, InvalidSizeError
 
 from conftest import random_digraph
 
@@ -156,6 +156,10 @@ class TestEigGeneral:
         with pytest.raises(ValueError):
             bgft.eig_general([[np.nan, 0], [0, 1]])
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="requires a square matrix"):
+            bgft.eig_general(np.ones((2, 3)))
+
 
 class TestArrayRule:
     # as_matrix and as_vector convert by one rule: complex128 if the input
@@ -186,6 +190,29 @@ class TestArrayRule:
             bgft.linalg.as_vector([1.0, 2.0], 3)
         with pytest.raises(ValueError, match="finite"):
             bgft.linalg.as_vector([1.0, np.inf])
+
+
+class TestCountRule:
+    # as_count admits every count: integers of any type pass as a Python
+    # int, floats are refused rather than truncated, then the range holds.
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integers_pass(self, value):
+        count = bgft.linalg.as_count(value, "k", 1, 5)
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", None])
+    def test_non_integers_refused(self, value):
+        with pytest.raises(ValueError, match="expected an integer k"):
+            bgft.linalg.as_count(value, "k", 1)
+
+    @pytest.mark.parametrize("value,high,message", [
+        (0, None, "k must be >= 1, got 0"),
+        (0, 5, "k must be in 1..5, got 0"),
+        (6, 5, "k must be in 1..5, got 6"),
+    ])
+    def test_range(self, value, high, message):
+        with pytest.raises(InvalidSizeError, match=message):
+            bgft.linalg.as_count(value, "k", 1, high, InvalidSizeError)
 
 
 class TestSvd:

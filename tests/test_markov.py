@@ -67,6 +67,11 @@ class TestIndices:
             np.sqrt(2) / 3, abs=1e-15
         )
 
+    @pytest.mark.parametrize("index", [bgft.asymmetry_index, bgft.departure_from_normality])
+    def test_rejects_nonsquare(self, index):
+        with pytest.raises(ValueError, match="requires a square matrix"):
+            index(np.ones((2, 3)))
+
     def test_zero_matrix_conventions(self):
         z = np.zeros((3, 3))
         assert bgft.asymmetry_index(z) == 0.0

@@ -40,6 +40,15 @@ class TestSelectBand:
         with pytest.raises(InvalidSizeError):
             bgft.select_band(perturbed_basis, 65)
 
+    def test_negative_mode_rejected(self):
+        # numpy would wrap -1 to the last mode
+        with pytest.raises(InvalidSizeError, match="-1"):
+            bgft.BandSupport(omega=(-1, 0))
+
+    def test_mode_past_n_rejected(self, perturbed_basis):
+        with pytest.raises(InvalidSizeError, match="mode index 64 out of range"):
+            bgft.band_vectors(perturbed_basis, bgft.BandSupport(omega=(0, 64)))
+
 
 class TestRandomBandlimited:
     def test_deterministic(self, perturbed_basis):
@@ -253,6 +262,21 @@ class TestSamplingSets:
             bgft.random_sampling_set(10, 11, 0)
         with pytest.raises(InvalidSizeError):
             bgft.random_sampling_set(10, 0, 0)
+
+    @pytest.mark.parametrize("size", [2.5, np.float64(2.0)])
+    def test_non_integer_size_rejected(self, perturbed_basis, size):
+        omega = bgft.select_band(perturbed_basis, 2)
+        for make in (lambda: bgft.select_band(perturbed_basis, size),
+                     lambda: bgft.random_sampling_set(64, size, 0),
+                     lambda: bgft.greedy_sampling_set(perturbed_basis, omega, size)):
+            with pytest.raises(InvalidSizeError, match="expected an integer"):
+                make()
+
+    def test_numpy_integer_sizes(self, perturbed_basis):
+        assert bgft.select_band(perturbed_basis, np.int64(8)) == bgft.select_band(
+            perturbed_basis, 8)
+        assert bgft.random_sampling_set(64, np.int64(20), 123) == bgft.random_sampling_set(
+            64, 20, 123)
 
     def test_greedy_beats_random_search(self):
         # greedy sigma_min should match or beat the best of 1000 random sets

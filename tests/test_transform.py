@@ -118,6 +118,14 @@ class TestAnalyzeSynthesize:
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1, np.linalg.norm(rhs))
 
 
+# Each function of the diffusion time t, called as f(op, basis, x, t).
+OF_T = {
+    "diffuse_direct": lambda op, basis, x, t: bgft.diffuse_direct(op, x, t),
+    "diffuse_spectral": lambda op, basis, x, t: bgft.diffuse_spectral(basis, x, t),
+    "iterate_bound": lambda op, basis, x, t: bgft.iterate_bound(basis, t),
+}
+
+
 class TestDiffusion:
     def test_t_zero_identity(self, canonical_bases):
         op, basis = canonical_bases["perturbed"]
@@ -154,6 +162,24 @@ class TestDiffusion:
         assert real.dtype == np.float64
         via_complex = bgft.diffuse_direct(op, x.astype(complex), 50)
         assert np.linalg.norm(real - via_complex) <= 1e-14 * np.linalg.norm(via_complex)
+
+    @pytest.mark.parametrize("f", OF_T)
+    @pytest.mark.parametrize("t,message", [
+        (0.5, "expected an integer t"),
+        (np.float64(2.0), "expected an integer t"),
+        (-1, "t must be >= 0"),
+    ])
+    def test_t_must_be_a_count(self, canonical_bases, f, t, message):
+        # t = 0.5 would give V Lambda^(1/2) U* x, which is no diffusion
+        op, basis = canonical_bases["perturbed"]
+        with pytest.raises(ValueError, match=message):
+            OF_T[f](op, basis, np.ones(64), t)
+
+    @pytest.mark.parametrize("f", OF_T)
+    def test_numpy_integer_t(self, canonical_bases, f):
+        op, basis = canonical_bases["perturbed"]
+        x = _rand_signal(64, 6)
+        assert np.array_equal(OF_T[f](op, basis, x, np.int64(3)), OF_T[f](op, basis, x, 3))
 
     def test_spectral_agrees_with_direct(self, property_suite):
         rng = np.random.default_rng(50)
@@ -214,6 +240,23 @@ class TestFilters:
         assert np.linalg.norm(
             bgft.filter_matrix(basis, spec) - np.eye(64)
         ) <= 1e-8 * 64
+
+    @pytest.mark.parametrize("samples", [[np.nan] * 64, np.ones((64, 64)), [], 1.0])
+    def test_custom_table_checked_when_built(self, samples):
+        # A nan table gave a NaN filter_bound, and an (n, n) table a
+        # non-diagonal filter_matrix.
+        with pytest.raises(ValueError):
+            FilterSpec.custom(samples)
+
+    def test_custom_table_one_entry_per_mode(self, canonical_bases):
+        _, basis = canonical_bases["directed"]
+        with pytest.raises(ValueError, match="one entry per mode"):
+            bgft.filter_matrix(basis, FilterSpec.custom(np.ones(63)))
+
+    def test_ideal_lowpass_band_past_n(self, canonical_bases):
+        _, basis = canonical_bases["directed"]
+        with pytest.raises(InvalidSizeError, match="k must be in 1..64, got 65"):
+            FilterSpec.ideal_lowpass(65).response(basis)
 
     @pytest.mark.parametrize("k", [2.7, np.float64(2.0), "3"])
     def test_ideal_lowpass_rejects_non_integer(self, k):

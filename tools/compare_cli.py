@@ -1,0 +1,165 @@
+"""Compare the bgft command line of two source trees byte for byte.
+
+    python tools/compare_cli.py OLD_SRC NEW_SRC
+
+Each SRC is a directory holding the bgft package (a checkout's src/).  The
+script writes its inputs to a temporary directory: an edge list, a Matrix
+Market file written by scipy.io.mmwrite, a real and a complex signal file,
+and the malformed files the rejections read.  It runs a fixed list of argvs
+as `python -m bgft.cli` under each tree, with BGFT_SEED unset, and compares
+exit status, stdout, stderr and any --out file.  The list covers the five
+subcommands, all three formats, the three generated graphs, both graph file
+formats, the README examples and the rejections the CLI can reach.  It
+prints the number of argvs and every argv whose results differ, and exits 1
+on any difference.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy.io
+import scipy.sparse
+
+N = 64  # the CLI's default --n, so the README examples read the same signals
+FORMATS = ("table", "csv", "json")
+
+# Malformed inputs for the rejections, by file name.
+BAD_FILES = {
+    "nan.sig": "1.0\nnan 0.0\n",
+    "cols.sig": "1.0\n1.0 2.0 3.0\n",
+    "empty.sig": "# no values\n",
+    "short.sig": "1.0\n0.0\n0.0\n",
+    "header.edges": "# nodes 5\n0 1\n7 0\n",
+    "count.edges": "# nodes three\n0 1\n",
+    "cols.edges": "0 1\n0 1 1.0 2.0\n",
+    "neg.edges": "0 1\n-1 0\n",
+    "weight.edges": "0 1 -2.0\n1 0\n",
+    "empty.edges": "# only a comment\n",
+    "sink.edges": "0 1\n1 2\n",
+    "text.mtx": "not a Matrix Market file\n",
+    "wide.mtx": "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1.0\n",
+    "neg.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n"
+               "1 2 1.0\n2 3 -1.0\n3 1 1.0\n",
+    "complex.mtx": "%%MatrixMarket matrix coordinate complex general\n3 3 3\n"
+                   "1 2 1.0 0.5\n2 3 1.0 0.0\n3 1 1.0 0.0\n",
+}
+
+
+def write_inputs(d: Path) -> None:
+    """The graph and signal files the argvs name, all for N nodes."""
+    rng = np.random.default_rng(7)
+    a = np.roll(np.eye(N), 1, axis=1)  # directed cycle, so no node is a sink
+    a += rng.random((N, N)) * (rng.random((N, N)) < 0.1)
+    with open(d / "graph.edges", "w") as fh:
+        fh.write(f"# nodes {N}\n")
+        for i, j in zip(*np.nonzero(a)):
+            fh.write(f"{i} {j} {float(a[i, j])!r}\n")
+    scipy.io.mmwrite(str(d / "graph.mtx"), scipy.sparse.coo_matrix(a.T))
+    x = rng.standard_normal(N)
+    (d / "x.sig").write_text("".join(f"{v!r}\n" for v in x.tolist()))
+    z = x + 1j * rng.standard_normal(N)
+    (d / "z.sig").write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in z.tolist()))
+    for name, text in BAD_FILES.items():
+        (d / name).write_text(text)
+
+
+def argvs() -> list:
+    """The fixed argv list; {d} is the input directory and {out} an --out
+    path of each tree's own."""
+    graphs = [
+        ["--graph", "undirected-cycle"],
+        ["--graph", "directed-cycle"],
+        ["--graph", "perturbed-cycle"],
+        ["--graph", "perturbed-cycle", "--eps", "3.5", "--chord-src", "5", "--chord-dst", "40"],
+        ["--graph", "file", "--input", "{d}/graph.edges"],
+        ["--graph", "file", "--input", "{d}/graph.mtx"],
+    ]
+    out = []
+    for g in graphs:
+        for f, fmt in enumerate(FORMATS):
+            signal = "{d}/" + ("x.sig", "z.sig")[f % 2]
+            out += [
+                ["indices", *g, "--format", fmt],
+                ["filter", signal, *g, "--tau", "1.5", "--format", fmt],
+                ["diffuse", signal, *g, "--t", "7", "--format", fmt],
+                ["reconstruct", *g, "--k", "4", "--m", "10", "--noise", "0.01",
+                 "--seed", str(f), "--format", fmt],
+            ]
+    out += [["table1", "--n", "16", "--eps", "5", "--k", "3", "--m", "6", "--format", fmt]
+            for fmt in FORMATS]
+    out += [  # the README examples
+        ["indices", "--graph", "perturbed-cycle"],
+        ["filter", "{d}/x.sig", "--tau", "2", "--out", "{out}"],
+        ["diffuse", "{d}/x.sig", "--t", "50", "--format", "csv"],
+        ["reconstruct", "--k", "8", "--m", "20", "--seed", "3"],
+        ["table1"],
+    ]
+    out += [  # rejections
+        ["reconstruct", "--seed", "-1"],
+        ["reconstruct", "--k", "30", "--m", "20"],
+        ["table1", "--k", "30", "--m", "20"],
+        ["reconstruct", "--noise", "nan"],
+        ["indices", "--eps", "-1"],
+        ["indices", "--graph", "directed-cycle", "--n", "2"],
+        ["indices", "--graph", "directed-cycle", "--n", "4097"],
+        ["indices", "--chord-src", "64"],
+        ["indices", "--seed", "3"],
+        ["indices", "--out", "{d}/missing/r.json"],
+        ["filter", "{d}/x.sig", "--tau", "-1"],
+        ["diffuse", "{d}/x.sig", "--t", "-1"],
+        ["diffuse", "{d}/x.sig", "--t", "10001"],
+        ["filter", "{d}/missing.sig"],
+        ["filter", "{d}/nan.sig"],
+        ["filter", "{d}/cols.sig"],
+        ["diffuse", "{d}/empty.sig"],
+        ["filter", "{d}/short.sig"],
+        ["indices", "--graph", "file"],
+        *[["indices", "--graph", "file", "--input", "{d}/" + name]
+          for name in BAD_FILES if name.endswith((".edges", ".mtx"))],
+        ["indices", "--graph", "file", "--input", "{d}/missing.edges"],
+    ]
+    return out
+
+
+def run(src: Path, argv: list, d: Path, out: Path) -> tuple:
+    """(exit status, stdout, stderr, --out file bytes or None) of one argv
+    under the tree at src."""
+    argv = [a.replace("{d}", str(d)).replace("{out}", str(out)) for a in argv]
+    out.unlink(missing_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("BGFT_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "bgft.cli", *argv], env=env, cwd=d,
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+
+
+def compare(old: Path, new: Path, argv_list: list, d: Path) -> list:
+    """The argvs of argv_list whose results differ between the two trees."""
+    return [argv for argv in argv_list
+            if run(old, argv, d, d / "old.out") != run(new, argv, d, d / "new.out")]
+
+
+def main(args) -> int:
+    if len(args) != 2:
+        print("usage: python tools/compare_cli.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in args)
+    argv_list = argvs()
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_inputs(d)
+        differ = compare(old, new, argv_list, d)
+    for argv in differ:
+        print("differs:", " ".join(argv))
+    print(f"{len(differ)} of {len(argv_list)} argvs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
