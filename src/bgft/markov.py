@@ -125,7 +125,10 @@ def is_reversible(
     dist: StationaryDistribution,
     tol: float = REVERSIBILITY_TOL,
 ) -> bool:
-    """Detailed-balance test: Pi P = P^T Pi up to relative tolerance."""
+    """Detailed-balance test: Pi P = P^T Pi up to relative tolerance, a
+    finite tol >= 0 (ValueError otherwise)."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"reversibility test needs a finite tol >= 0, got {tol}")
     pi_p = dist.pi[:, None] * op.p
     return bool(np.linalg.norm(pi_p - pi_p.T) <= tol * np.linalg.norm(pi_p))
 

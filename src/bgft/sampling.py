@@ -96,7 +96,7 @@ def band_vectors(basis: BgftBasis, omega: BandSupport) -> np.ndarray:
 
 def random_bandlimited(basis: BgftBasis, omega: BandSupport, rng_seed: int) -> np.ndarray:
     """x = V_Omega c with c ~ standard complex normal from the seeded PCG64 rng."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(linalg.as_count(rng_seed, "seed", 0))
     c = rng.standard_normal(omega.k) + 1j * rng.standard_normal(omega.k)
     return band_vectors(basis, omega) @ c
 
@@ -176,8 +176,9 @@ def noise_bound(
 
 def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:
     """m nodes uniformly without replacement from the seeded PCG64 rng."""
+    n = linalg.as_count(n, "node count", 1, error=InvalidSizeError)
     m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(linalg.as_count(rng_seed, "seed", 0))
     return SamplingSet(nodes=tuple(rng.choice(n, size=m, replace=False)))
 
 

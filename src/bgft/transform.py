@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, markov
 from .errors import InvalidSizeError
 from .linalg import EigenDecomposition
 from .markov import StationaryDistribution, TransitionOperator
@@ -29,6 +29,8 @@ class BgftBasis:
     frequencies and order derive from eig.  order sorts modes by ascending
     decay rate, ties broken by ascending |Im lambda| then by Im lambda (so
     conjugate pairs order deterministically, negative-imaginary first).
+    pi_metric, the signal-independent part of energy_report, is computed on
+    first use, like order.
     """
 
     operator: TransitionOperator
@@ -62,6 +64,20 @@ class BgftBasis:
     def order(self) -> np.ndarray:
         lam = self.eigenvalues
         return np.lexsort((lam.imag, np.abs(lam.imag), self.frequencies))
+
+    @cached_property
+    def pi_metric(self) -> tuple:
+        """(pi, s, sigma_w): the operator's stationary pi, the column norms
+        s_k = ||Pi^{1/2} v_k||, and the singular values (descending) of
+        W = Pi^{1/2} V diag(1/s).  W itself is not kept."""
+        # Unit-norm columns: the energy identities are invariant under column
+        # scaling, and this choice makes W unitary in the reversible limit
+        # (pi-orthonormal eigenbasis), where the sandwich bounds collapse to
+        # equalities.
+        pi = markov.stationary(self.operator).pi
+        w = np.sqrt(pi)[:, None] * self.right_vectors
+        scale = np.linalg.norm(w, axis=0)
+        return pi, scale, np.linalg.svd(w / scale, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -179,28 +195,24 @@ def energy_report(basis: BgftBasis, dist: StationaryDistribution, x) -> EnergyRe
     ||W xhat||^2 with W = Pi^{1/2} V; the diffusion variation ||(I-P)x||_pi^2
     is sandwiched by the squared extreme singular values of W times
     sum |1-lambda_k|^2 |xhat_k|^2.
+
+    W (with unit-norm columns, the coefficients scaled inversely) and its
+    singular values depend only on the basis: basis.pi_metric takes the SVD
+    once, on first use, and each call costs O(n^2).  dist must be the
+    operator's stationary distribution (ValueError otherwise).
     """
     x = linalg.as_vector(x, basis.n)
+    pi, scale, sw = basis.pi_metric
+    if dist.pi is not pi and not np.array_equal(dist.pi, pi):
+        raise ValueError("dist is not the stationary distribution of the basis operator")
     xhat = analyze(basis, x)
-    pi = dist.pi
-
-    # Rescale columns of W to unit norm (and coefficients inversely).  The
-    # identities below are invariant under column scaling, and this choice
-    # makes W unitary in the reversible limit (pi-orthonormal eigenbasis),
-    # where the sandwich bounds collapse to equalities.
-    w = dist.pi_diag_sqrt[:, None] * basis.right_vectors
-    scale = np.linalg.norm(w, axis=0)
-    w = w / scale
-    xhat = xhat * scale
 
     pi_energy = float(np.sum(pi * np.abs(x) ** 2))
-    gram_energy = float(np.sum(np.abs(w @ xhat) ** 2))
-
-    sw = np.linalg.svd(w, compute_uv=False)
+    gram_energy = float(np.sum(pi * np.abs(basis.right_vectors @ xhat) ** 2))
 
     lx = x - basis.operator.p @ x
     tv_pi = float(np.sum(pi * np.abs(lx) ** 2))
-    mode_sum = float(np.sum(np.abs(1.0 - basis.eigenvalues) ** 2 * np.abs(xhat) ** 2))
+    mode_sum = float(np.sum(np.abs(1.0 - basis.eigenvalues) ** 2 * np.abs(scale * xhat) ** 2))
 
     return EnergyReport(
         pi_energy=pi_energy,

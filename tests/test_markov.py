@@ -195,6 +195,12 @@ class TestReversibility:
                     t3 = False
             assert t1 == t2 == t3
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+    def test_tol_checked(self, tol):
+        op = bgft.transition(bgft.undirected_cycle(8))
+        with pytest.raises(ValueError, match="finite tol"):
+            bgft.is_reversible(op, bgft.stationary(op), tol=tol)
+
     def test_reversible_spectrum_real(self):
         op = bgft.transition(random_reversible_graph(10, 21))
         dec = bgft.eig_general(op.p)

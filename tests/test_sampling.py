@@ -278,6 +278,26 @@ class TestSamplingSets:
         assert bgft.random_sampling_set(64, np.int64(20), 123) == bgft.random_sampling_set(
             64, 20, 123)
 
+    @pytest.mark.parametrize("n", [8.0, np.float64(8.0), "8", 0, -3])
+    def test_node_count_checked(self, n):
+        with pytest.raises(InvalidSizeError):
+            bgft.random_sampling_set(n, 2, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), -1, None])
+    def test_seed_checked(self, perturbed_basis, seed):
+        omega = bgft.select_band(perturbed_basis, 2)
+        for make in (lambda: bgft.random_sampling_set(64, 20, seed),
+                     lambda: bgft.random_bandlimited(perturbed_basis, omega, seed)):
+            with pytest.raises(ValueError, match="seed"):
+                make()
+
+    def test_numpy_integer_node_count_and_seed(self, perturbed_basis):
+        omega = bgft.select_band(perturbed_basis, 2)
+        assert bgft.random_sampling_set(np.int64(64), 20, np.int64(123)) == (
+            bgft.random_sampling_set(64, 20, 123))
+        assert np.array_equal(bgft.random_bandlimited(perturbed_basis, omega, np.int64(5)),
+                              bgft.random_bandlimited(perturbed_basis, omega, 5))
+
     def test_greedy_beats_random_search(self):
         # greedy sigma_min should match or beat the best of 1000 random sets
         # in at least 90% of trials at this size

@@ -313,7 +313,81 @@ class TestBounds:
                 assert h_norm <= bgft.filter_bound(basis, spec) + 1e-8
 
 
+def _energy_reference(basis, dist, x):
+    """energy_report computed from scratch on every call: W = Pi^{1/2} V with
+    unit-norm columns and its full SVD.  The reference for the cached path."""
+    x = np.asarray(x)
+    pi = dist.pi
+    xhat = basis.left_dual @ x
+    w = np.sqrt(pi)[:, None] * basis.right_vectors
+    scale = np.linalg.norm(w, axis=0)
+    w = w / scale
+    xhat = xhat * scale
+    sw = np.linalg.svd(w, compute_uv=False)
+    mode_sum = float(np.sum(np.abs(1.0 - basis.eigenvalues) ** 2 * np.abs(xhat) ** 2))
+    return bgft.EnergyReport(
+        pi_energy=float(np.sum(pi * np.abs(x) ** 2)),
+        gram_energy=float(np.sum(np.abs(w @ xhat) ** 2)),
+        sigma_w_min=float(sw[-1]),
+        sigma_w_max=float(sw[0]),
+        tv_pi=float(np.sum(pi * np.abs(x - basis.operator.p @ x) ** 2)),
+        tv_lower=float(sw[-1] ** 2) * mode_sum,
+        tv_upper=float(sw[0] ** 2) * mode_sum,
+    )
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.svd while the test runs."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
 class TestEnergy:
+    def test_one_svd_per_basis(self, svd_shapes):
+        op = bgft.transition(random_digraph(16, 90))
+        basis = bgft.decompose(op)
+        dist = bgft.stationary(op)
+        del svd_shapes[:]  # eig_general's SVD for cond(V)
+        for seed in range(5):
+            bgft.energy_report(basis, dist, _rand_signal(16, seed))
+        assert svd_shapes == [(16, 16)]
+
+    def test_decompose_and_stationary_leave_cache_empty(self, svd_shapes):
+        op = bgft.transition(random_digraph(16, 91))
+        op.eig  # the one eigendecomposition, whose SVD gives cond(V)
+        del svd_shapes[:]
+        basis = bgft.decompose(op)
+        bgft.stationary(op)
+        assert svd_shapes == []
+        assert "pi_metric" not in vars(basis)
+
+    def test_matches_per_call_reference(self, canonical_bases, property_suite):
+        cases = list(canonical_bases.values()) + property_suite
+        for i, (op, basis) in enumerate(cases):
+            dist = bgft.stationary(op)
+            for x in (_rand_signal(op.n, 200 + i), np.ones(op.n)):
+                got = bgft.energy_report(basis, dist, x)
+                want = _energy_reference(basis, dist, x)
+                assert got.gram_energy == pytest.approx(want.gram_energy, rel=1e-14)
+                assert dataclasses.replace(got, gram_energy=want.gram_energy) == want
+
+    def test_dist_must_be_stationary(self, canonical_bases):
+        op, basis = canonical_bases["perturbed"]
+        pi = bgft.stationary(op).pi
+        bumped = pi * (1.0 + 1e-6 * np.arange(op.n))
+        for wrong in (pi[:-1], np.where(np.arange(op.n) == 3, np.nan, pi),
+                      bumped / bumped.sum()):
+            with pytest.raises(ValueError, match="stationary distribution"):
+                bgft.energy_report(basis, bgft.StationaryDistribution(pi=wrong), np.ones(op.n))
+
     def test_reversible_collapse(self):
         op = bgft.transition(random_reversible_graph(12, 60))
         dist = bgft.stationary(op)
