@@ -13,6 +13,15 @@ the conventions the rest of the toolkit relies on: deterministic eigenvalue
 ordering, unit-norm phase-fixed eigenvector columns, re-orthonormalized
 degenerate clusters, and explicit detection of numerically defective input.
 
+There are two eigensolver routes with these conventions in common.
+eig_general takes any square matrix to LAPACK's general eig (dgeev) and
+inverts V for the dual.  eig_symmetrized takes a matrix that a positive
+diagonal similarity makes symmetric (a reversible chain) to eigh and builds
+V and U* from its orthonormal Q without an inverse.  The basis of a
+degenerate cluster is arbitrary (only its span is determined), so the two
+routes may return different V for a repeated eigenvalue, with the same
+cond_v.
+
 Sizes up to n = 512 are supported and tested; larger inputs work but are
 limited only by memory and O(n^3) runtime.
 """
@@ -80,6 +89,8 @@ class EigenDecomposition:
     right_vectors has unit-norm columns; left_dual is its exact inverse, so
     left_dual @ right_vectors = I up to roundoff.  cond_v is the 2-norm
     condition number of right_vectors; residual is ||M V - V Lambda||_F.
+    solver names the route that ran: "geev" (eig_general) or "eigh"
+    (eig_symmetrized).
     """
 
     eigenvalues: np.ndarray
@@ -87,6 +98,7 @@ class EigenDecomposition:
     left_dual: np.ndarray
     cond_v: float
     residual: float
+    solver: str
 
     @property
     def n(self) -> int:
@@ -107,15 +119,12 @@ class LeastSquaresSolution:
 def eig_general(m) -> EigenDecomposition:
     """General (non-Hermitian) eigendecomposition with deterministic output.
 
-    Eigenvalues are sorted by descending real part, ties broken by ascending
-    imaginary part.  Each eigenvalue joins the degenerate cluster of the
-    first eigenvalue within CLUSTER_TOL of it (by distance, not by sort
-    position); each cluster's eigenvector block is re-orthonormalized so
-    that normal matrices get cond_v ~= 1 regardless of LAPACK's arbitrary
-    basis choice.  Columns have unit norm, which fixes cond(V); the phase is
-    fixed so that the largest-magnitude entry is positive real.  The phase
-    rule leaves cond(V) unchanged (a unit-modulus column scaling is
-    unitary), but it fixes V itself, U*, and the seeded signals built from V.
+    LAPACK's eig (dgeev for real m) gives the eigenpairs and U* = V^{-1} is
+    an explicit inverse; the conventions are _conventional_basis's.  A
+    cluster whose QR block is not invariant (LAPACK may return parallel
+    vectors for a repeated eigenvalue: the 4-cycle's double 0) takes its
+    basis from the null space of M - mean(lambda) I instead, under the same
+    check.
 
     Raises DefectiveMatrixError when the eigenvector basis is numerically
     singular (residual or dual-basis check beyond DEFECTIVE_TOL).
@@ -123,24 +132,64 @@ def eig_general(m) -> EigenDecomposition:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("eig_general requires a square matrix")
-    n = m.shape[0]
-
     lam, v = np.linalg.eig(m)
-    lam = lam.astype(complex)
-    v = v.astype(complex)
+    # Column-major, the layout a column-permuted copy has: the in-place sort
+    # keeps it, and the QR, SVD and inverse that follow round by it.
+    v = v.astype(complex, order="F")
+    return _conventional_basis(m, lam.astype(complex), v, None, "geev")
+
+
+def eig_symmetrized(m, s, d) -> EigenDecomposition:
+    """Eigendecomposition of m = D^{-1} S D, with D = diag(d) positive and S
+    symmetric up to roundoff: a reversible chain, S = Pi^{1/2} P Pi^{-1/2}
+    and d = sqrt(pi) (markov.symmetrize).
+
+    eigh of (S + S^T) / 2 gives S = Q diag(lambda) Q^T, so V = D^{-1} Q and
+    U* = Q^T D, with no inverse; V stays real until it is returned.  The
+    conventions are eig_general's (_conventional_basis), so the two agree
+    on cond_v and, up to the arbitrary basis of a degenerate cluster, on V.
+    The residual is taken against m itself, so a matrix that is symmetric
+    by similarity only up to a small error reports that error there.
+    """
+    m, s = as_matrix(m), as_matrix(s)
+    n = m.shape[0]
+    d = as_vector(d, n)
+    if m.shape != (n, n) or s.shape != (n, n) or not np.all(d > 0):
+        raise ValueError("eig_symmetrized needs square m and S of one size and d > 0")
+    lam, q = np.linalg.eigh((s + s.T) / 2)
+    return _conventional_basis(m, lam, q / d[:, None], q.T * d, "eigh")
+
+
+def _conventional_basis(m, lam, v, u, solver: str) -> EigenDecomposition:
+    """The conventions both eigensolver routes share, applied to M's
+    eigenpairs (lam, v) and, for eigh, the left dual u (None for geev, which
+    takes it as inv(v) at the end).  v and u are changed in place, so that
+    no second n x n copy of either is alive during the checks.
+
+    Eigenvalues are sorted by descending real part, ties broken by ascending
+    imaginary part.  Each eigenvalue joins the degenerate cluster of the
+    first eigenvalue within CLUSTER_TOL of it (by distance, not by sort
+    position); each cluster's eigenvector block is re-orthonormalized by a
+    Euclidean QR (rows of u follow through R), so that normal matrices get
+    cond_v ~= 1 whatever basis the solver chose for the cluster.  Columns
+    have unit norm, which fixes cond(V); the phase is fixed so that the
+    largest-magnitude entry is positive real.  The phase rule leaves cond(V)
+    unchanged (a unit-modulus column scaling is unitary), but it fixes V
+    itself, U*, and the seeded signals built from V.
+    """
+    n = m.shape[0]
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
-    v = v[:, order]
+    v[:] = v[:, order]
+    if u is not None:
+        u[:] = u[order]
 
     # Roundoff in Re(lambda) can sort a conjugate between two copies of one
     # eigenvalue (the directed torus), so sort neighbours are not enough to
     # find a cluster; the label is the first eigenvalue within CLUSTER_TOL.
     # A cluster of merely close (not equal) eigenvalues has distinct
     # eigendirections that QR would destroy, so the swap is kept only when
-    # the block residual stays at roundoff level.  LAPACK may also return
-    # parallel vectors for a repeated eigenvalue (the 4-cycle's double 0);
-    # their QR fails the check, and the cluster's basis is then taken from
-    # the null space of M - mean(lambda) I, under the same check.
+    # the block residual stays at roundoff level.
     m_norm = np.linalg.norm(m)
 
     def invariant(q, mu):
@@ -151,16 +200,25 @@ def eig_general(m) -> EigenDecomposition:
     for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
         idx = np.flatnonzero(labels == label)
         mu = lam[idx]
-        q, _ = np.linalg.qr(v[:, idx])
+        q, r = np.linalg.qr(v[:, idx])
         if not invariant(q, mu):
+            if u is not None:
+                continue  # eigh's own vectors are kept
             shifted = m - np.mean(mu) * np.eye(n)
             q = np.linalg.svd(shifted)[2][-idx.size:].conj().T
-        if invariant(q, mu):
-            v[:, idx] = q
+            if not invariant(q, mu):
+                continue
+        v[:, idx] = q
+        if u is not None:
+            u[idx] = r @ u[idx]
 
-    v = v / np.linalg.norm(v, axis=0)
+    scale = np.linalg.norm(v, axis=0)
+    v /= scale
     pivot = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
-    v *= np.conj(pivot) / np.abs(pivot)
+    phase = np.conj(pivot) / np.abs(pivot)
+    v *= phase
+    if u is not None:
+        u *= (scale * np.conj(phase))[:, None]
 
     sigma = np.linalg.svd(v, compute_uv=False)
     if sigma[-1] <= RANK_RCOND * sigma[0]:
@@ -168,7 +226,8 @@ def eig_general(m) -> EigenDecomposition:
             "eigenvector matrix is numerically singular; "
             "matrix appears defective"
         )
-    u = np.linalg.inv(v)
+    if u is None:
+        u = np.linalg.inv(v)
     residual = float(np.linalg.norm(m @ v - v * lam))
     dual_residual = float(np.linalg.norm(u @ v - np.eye(n)))
     if residual > DEFECTIVE_TOL * max(1.0, m_norm) or dual_residual > DEFECTIVE_TOL:
@@ -176,13 +235,13 @@ def eig_general(m) -> EigenDecomposition:
             f"matrix is numerically non-diagonalizable "
             f"(residual={residual:.3e}, dual residual={dual_residual:.3e})"
         )
-    cond_v = float(sigma[0] / sigma[-1])
     return EigenDecomposition(
-        eigenvalues=lam,
-        right_vectors=v,
-        left_dual=u,
-        cond_v=cond_v,
+        eigenvalues=lam.astype(complex, copy=False),
+        right_vectors=v.astype(complex, copy=False),
+        left_dual=u.astype(complex, copy=False),
+        cond_v=float(sigma[0] / sigma[-1]),
         residual=residual,
+        solver=solver,
     )
 
 

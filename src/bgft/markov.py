@@ -26,7 +26,11 @@ class TransitionOperator:
 
     eig is the one eigendecomposition of P, computed on first use and shared
     by the biorthogonal basis (transform.decompose) and the stationary
-    distribution.
+    distribution.  It chooses the solver: a reversible P is self-adjoint
+    in the pi inner product, so S = Pi^{1/2} P Pi^{-1/2} (symmetrize) goes
+    to eigh (linalg.eig_symmetrized; see _symmetric_form for the test).
+    Every other chain goes to linalg.eig_general.  eig.solver records which
+    ran.
     """
 
     p: np.ndarray
@@ -41,7 +45,10 @@ class TransitionOperator:
 
     @cached_property
     def eig(self) -> linalg.EigenDecomposition:
-        return linalg.eig_general(self.p)
+        form = _symmetric_form(self)
+        if form is None:
+            return linalg.eig_general(self.p)
+        return linalg.eig_symmetrized(self.p, *form)
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,45 @@ class StationaryDistribution:
     @property
     def pi_diag_sqrt(self) -> np.ndarray:
         return np.sqrt(self.pi)
+
+
+def _solved_stationary(p: np.ndarray) -> StationaryDistribution | None:
+    """pi from one LU solve of (I - P^T) pi = 0, its last equation replaced
+    by sum(pi) = 1; None if the system is singular or pi is not finite and
+    positive.  Only the candidate for TransitionOperator.eig's choice of
+    solver: stationary() keeps its own checks."""
+    a = np.eye(p.shape[0]) - p.T
+    a[-1] = 1.0
+    b = np.zeros(p.shape[0])
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(pi) & (pi > 0)):
+        return None
+    return StationaryDistribution(pi=pi)
+
+
+def _symmetric_form(op: TransitionOperator) -> tuple | None:
+    """(S, sqrt(pi)) if op qualifies for the eigh route, else None.
+
+    It qualifies when the candidate pi of _solved_stationary is positive, P
+    passes is_reversible, and S = symmetrize(op, pi) is symmetric to the
+    same tolerance.  The last check is not redundant: is_reversible's
+    tolerance is relative to ||Pi P||, so it cannot see pi entries at
+    roundoff level, such as the noise a singular solve leaves on one
+    component of a reducible chain; S, which eigh would symmetrize, can.
+    A function of its own, so that its n x n temporaries are freed before
+    eig_general runs.
+    """
+    dist = _solved_stationary(op.p)
+    if dist is None or not is_reversible(op, dist):
+        return None
+    s = symmetrize(op, dist)
+    if np.linalg.norm(s - s.T) > REVERSIBILITY_TOL * np.linalg.norm(s):
+        return None
+    return s, dist.pi_diag_sqrt
 
 
 def transition(g: DirectedGraph) -> TransitionOperator:
@@ -126,17 +172,27 @@ def is_reversible(
     tol: float = REVERSIBILITY_TOL,
 ) -> bool:
     """Detailed-balance test: Pi P = P^T Pi up to relative tolerance, a
-    finite tol >= 0 (ValueError otherwise)."""
+    finite tol >= 0.  ValueError for a bad tol or a dist.pi that is not
+    op.n finite positive entries."""
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"reversibility test needs a finite tol >= 0, got {tol}")
-    pi_p = dist.pi[:, None] * op.p
+    pi_p = _checked_pi(op, dist)[:, None] * op.p
     return bool(np.linalg.norm(pi_p - pi_p.T) <= tol * np.linalg.norm(pi_p))
 
 
 def symmetrize(op: TransitionOperator, dist: StationaryDistribution) -> np.ndarray:
-    """Similarity transform S = Pi^{1/2} P Pi^{-1/2}; symmetric iff reversible."""
-    s = dist.pi_diag_sqrt
+    """Similarity transform S = Pi^{1/2} P Pi^{-1/2}; symmetric iff reversible.
+    ValueError for a dist.pi that is not op.n finite positive entries."""
+    s = np.sqrt(_checked_pi(op, dist))
     return (s[:, None] * op.p) / s[None, :]
+
+
+def _checked_pi(op: TransitionOperator, dist: StationaryDistribution) -> np.ndarray:
+    """dist.pi if it has op.n finite, positive entries, else ValueError."""
+    pi = linalg.as_vector(dist.pi, op.n)
+    if not np.all(pi > 0):
+        raise ValueError("stationary distribution entries must be positive")
+    return pi
 
 
 def pi_inner(x, y, dist: StationaryDistribution) -> complex:

@@ -201,6 +201,19 @@ class TestReversibility:
         with pytest.raises(ValueError, match="finite tol"):
             bgft.is_reversible(op, bgft.stationary(op), tol=tol)
 
+    @pytest.mark.parametrize("check", [bgft.is_reversible, bgft.symmetrize])
+    def test_pi_of_wrong_length_refused(self, check):
+        op = bgft.transition(bgft.undirected_cycle(8))
+        with pytest.raises(ValueError, match="length 8"):
+            check(op, bgft.StationaryDistribution(pi=np.full(5, 0.2)))
+
+    @pytest.mark.parametrize("check", [bgft.is_reversible, bgft.symmetrize])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -0.125])
+    def test_pi_not_finite_and_positive_refused(self, check, value):
+        op = bgft.transition(bgft.undirected_cycle(8))
+        with pytest.raises(ValueError, match="finite|positive"):
+            check(op, bgft.StationaryDistribution(pi=np.full(8, value)))
+
     def test_reversible_spectrum_real(self):
         op = bgft.transition(random_reversible_graph(10, 21))
         dec = bgft.eig_general(op.p)
