@@ -100,6 +100,12 @@ class TestSolverChoice:
         assert dec.left_dual.dtype == np.complex128
         assert np.linalg.norm(dec.left_dual @ dec.right_vectors - np.eye(16)) <= 1e-12
 
+    @pytest.mark.parametrize("s, d", [(np.eye(3), [1.0, 0.0, 1.0]),
+                                      (np.eye(2), [1.0, 1.0, 1.0])])
+    def test_eig_symmetrized_checks_its_arguments(self, s, d):
+        with pytest.raises(ValueError):
+            linalg.eig_symmetrized(np.eye(3), s, d)
+
 
 class TestAgreementWithEigGeneral:
     @pytest.mark.parametrize("family", [weighted_4cycle, rank1_bipartite])
