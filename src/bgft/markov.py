@@ -83,20 +83,15 @@ def _solved_stationary(p: np.ndarray) -> StationaryDistribution | None:
 def _symmetric_form(op: TransitionOperator) -> tuple | None:
     """(S, sqrt(pi)) if op qualifies for the eigh route, else None.
 
-    It qualifies when the candidate pi of _solved_stationary is positive, P
-    passes is_reversible, and S = symmetrize(op, pi) is symmetric to the
-    same tolerance.  The last check is not redundant: is_reversible's
-    tolerance is relative to ||Pi P||, so it cannot see pi entries at
-    roundoff level, such as the noise a singular solve leaves on one
-    component of a reducible chain; S, which eigh would symmetrize, can.
-    A function of its own, so that its n x n temporaries are freed before
-    eig_general runs.
+    It qualifies when the candidate pi of _solved_stationary is positive and
+    S = symmetrize(op, pi) passes is_reversible's test.  A function of its
+    own, so that its n x n temporaries are freed before eig_general runs.
     """
     dist = _solved_stationary(op.p)
-    if dist is None or not is_reversible(op, dist):
+    if dist is None:
         return None
     s = symmetrize(op, dist)
-    if np.linalg.norm(s - s.T) > REVERSIBILITY_TOL * np.linalg.norm(s):
+    if not _is_symmetric(s, REVERSIBILITY_TOL):
         return None
     return s, dist.pi_diag_sqrt
 
@@ -171,13 +166,19 @@ def is_reversible(
     dist: StationaryDistribution,
     tol: float = REVERSIBILITY_TOL,
 ) -> bool:
-    """Detailed-balance test: Pi P = P^T Pi up to relative tolerance, a
-    finite tol >= 0.  ValueError for a bad tol or a dist.pi that is not
-    op.n finite positive entries."""
+    """Detailed-balance test: S = symmetrize(op, dist) is symmetric,
+    ||S - S^T||_F <= tol ||S||_F for a finite tol >= 0.  S - S^T is
+    Pi P - P^T Pi scaled by Pi^{-1/2} on each side, so, unlike a tolerance
+    relative to ||Pi P||, this sees pi entries at roundoff level.
+    ValueError for a bad tol or a dist.pi that is not op.n finite positive
+    entries."""
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"reversibility test needs a finite tol >= 0, got {tol}")
-    pi_p = _checked_pi(op, dist)[:, None] * op.p
-    return bool(np.linalg.norm(pi_p - pi_p.T) <= tol * np.linalg.norm(pi_p))
+    return _is_symmetric(symmetrize(op, dist), tol)
+
+
+def _is_symmetric(s: np.ndarray, tol: float) -> bool:
+    return bool(np.linalg.norm(s - s.T) <= tol * np.linalg.norm(s))
 
 
 def symmetrize(op: TransitionOperator, dist: StationaryDistribution) -> np.ndarray:

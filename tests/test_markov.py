@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bgft
+from bgft import markov
 from bgft.errors import NotIrreducibleError, SinkNodeError
 
 from conftest import random_digraph, random_reversible_graph, transient_chain
@@ -194,6 +195,19 @@ class TestReversibility:
                 if abs(lhs - rhs) > 1e-8 * max(1.0, abs(lhs)):
                     t3 = False
             assert t1 == t2 == t3
+
+    def test_pi_at_roundoff_level_not_reversible(self):
+        # Two disjoint 5-cycles: the candidate pi of the singular solve is
+        # ~1e-17 noise on one cycle.  Detailed balance relative to ||Pi P||
+        # passes it; the symmetry of S does not.
+        a = np.zeros((10, 10))
+        a[:5, :5] = bgft.undirected_cycle(5).adjacency
+        a[5:, 5:] = bgft.undirected_cycle(5).adjacency
+        op = bgft.transition(bgft.DirectedGraph(a))
+        dist = markov._solved_stationary(op.p)
+        assert np.max(dist.pi[:5]) < 1e-15
+        assert not bgft.is_reversible(op, dist)
+        assert op.eig.solver == "geev"
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
     def test_tol_checked(self, tol):
