@@ -7,7 +7,9 @@ i -> j; weights are nonnegative reals.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -18,6 +20,12 @@ from .linalg import as_array
 # dense float64, so 4096 nodes is 128 MB; the generators and loaders check
 # this before they allocate it.
 MAX_NODES = 4096
+
+# Body lines per np.loadtxt call of the bulk edge-list parser: large enough
+# that the per-call cost is small, small enough that a chunk (about 0.2 MB
+# at 1024 lines) stays well below the adjacency.
+BULK_CHUNK_LINES = 1024
+_EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,75 @@ def load_edge_list(path) -> DirectedGraph:
     Lines are `src dst weight` (weight optional, default 1.0); `#` starts a
     comment.  A `# nodes N` header pins the node count, and every node index
     must be below it; otherwise the count is 1 + max node index seen.  Either
-    way the count is at most MAX_NODES.
+    way the count is at most MAX_NODES.  Repeated edges are summed in file
+    order.
+
+    A file whose first line is the header, as save_edge_list writes it, is
+    parsed in bulk (_load_edge_list_bulk).  Any other file, and any file the
+    bulk parser does not accept in full, is read line by line
+    (_load_edge_list_strict), so the adjacency and every EdgeListParseError,
+    message and line number included, are the same either way.
     """
+    a = _load_edge_list_bulk(path)
+    if a is None:
+        return _load_edge_list_strict(path)
+    return DirectedGraph(a)
+
+
+def _load_edge_list_bulk(path) -> np.ndarray | None:
+    """Adjacency of a file that starts with a valid `# nodes N` header and
+    whose other lines are blank or `src dst weight` with indices in [0, N)
+    and finite weights >= 0; None for any other file.
+
+    The body is read BULK_CHUNK_LINES lines at a time, so memory beyond the
+    N x N adjacency stays bounded.  np.loadtxt's rules are not the line
+    parser's, so this returns None on anything it does not check in full:
+    a chunk with a `#` (a comment or a second header), any error or warning
+    from np.loadtxt (2- and 4-token lines, `1_0`, `3.0` as an index, indices
+    past int64), and an index or weight out of range.  np.add.at sums
+    repeated edges in file order, as the line parser does, so the two agree
+    bit for bit.
+    """
+    with open(path) as fh:
+        try:
+            n = _header_node_count(fh.readline())
+            if n is None:
+                return None
+            a = np.zeros((n, n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                while lines := list(islice(fh, BULK_CHUNK_LINES)):
+                    if "#" in "".join(lines):
+                        return None
+                    e = np.loadtxt(lines, dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+                    i, j, w = e["i"], e["j"], e["w"]
+                    if not (np.all((i >= 0) & (i < n) & (j >= 0) & (j < n))
+                            and np.all(np.isfinite(w) & (w >= 0))):
+                        return None
+                    np.add.at(a, (i, j), w)
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            return None
+    return a
+
+
+def _header_node_count(line: str) -> int | None:
+    """N of a `# nodes N` line with 1 <= N <= MAX_NODES, else None."""
+    line = line.strip()
+    if not line.startswith("#"):
+        return None
+    parts = line[1:].split()
+    if len(parts) != 2 or parts[0] != "nodes":
+        return None
+    try:
+        nodes = int(parts[1])
+    except ValueError:
+        return None
+    return nodes if 1 <= nodes <= MAX_NODES else None
+
+
+def _load_edge_list_strict(path) -> DirectedGraph:
+    """The line-by-line reader of load_edge_list's format, and the source of
+    all its EdgeListParseErrors."""
     weights = {}  # (i, j) -> summed weight, summed in file order
     nodes = None  # from the `# nodes N` header
     top = 0  # 1 + largest node index seen

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bgft
+from bgft import graphs
 from bgft.errors import EdgeListParseError, InvalidNodeError, InvalidSizeError
 
 
@@ -188,11 +189,109 @@ class TestFileIO:
         assert g.adjacency[0, 1] == 20_001.0
         assert peak < 0.5e6
 
+    def test_bulk_memory_bounded(self, tmp_path):
+        # Header first, so the chunked bulk parser reads it.
+        path = tmp_path / "g.edges"
+        path.write_text("# nodes 2\n" + "0 1 1.0\n" * 200_000)
+        assert graphs._load_edge_list_bulk(path) is not None
+        tracemalloc.start()
+        try:
+            g = bgft.load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.adjacency[0, 1] == 200_000.0
+        assert peak < 0.5e6
+
+    def test_header_node_cap_before_allocation(self, tmp_path):
+        # 3-token lines, the bulk parser's format: 5000 x 5000 would be 200 MB.
+        path = tmp_path / "g.edges"
+        path.write_text("# nodes 5000\n0 1 1.0\n1 0 1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListParseError, match="MAX_NODES") as exc:
+                bgft.load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line_number == 1
+        assert peak < 1e6
+
     def test_negative_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1 -3.0\n")
         with pytest.raises(EdgeListParseError):
             bgft.load_edge_list(path)
+
+
+def _field(k, value):
+    return lambda tokens: " ".join(tokens[:k] + [value] + tokens[k + 1:])
+
+
+# One change to one line of a header-first edge list over EQUIV_N nodes.
+# Each takes the line's tokens and returns its replacement.
+EQUIV_N = 12
+MUTATIONS = {
+    "weight-nan": _field(2, "nan"),
+    "weight-inf": _field(2, "inf"),
+    "weight-1e400": _field(2, "1e400"),
+    "weight-negative": _field(2, "-0.5"),
+    "index-negative": _field(0, "-1"),
+    "index-n": _field(1, str(EQUIV_N)),
+    "index-underscore": _field(0, "1_0"),
+    "index-plus": _field(1, "+3"),
+    "index-float": _field(0, "3.0"),
+    "index-past-int64": _field(1, "99999999999999999999"),
+    "two-tokens": lambda t: " ".join(t[:2]),
+    "four-tokens": lambda t: " ".join(t + ["1.0"]),
+    "trailing-comment": lambda t: " ".join(t) + " # c",
+    "second-header": lambda t: f"# nodes {EQUIV_N}",
+    "second-header-smaller": lambda t: "# nodes 3",
+    "blank": lambda t: "",
+    "whitespace-only": lambda t: " \t ",
+    "tabs": lambda t: "\t".join(t),
+}
+
+
+def _edge_list_lines(seed: int) -> list:
+    """A header, then 1100 random `i j w` lines with repeated edges: more
+    than one bulk chunk."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, EQUIV_N, (2, 1100))
+    w = rng.random(1100).tolist()
+    return [f"# nodes {EQUIV_N}\n"] + [f"{a} {b} {c!r}\n" for a, b, c in zip(i, j, w)]
+
+
+def _parse(load, path):
+    """The adjacency, or (message, line number) of the EdgeListParseError."""
+    try:
+        return load(path).adjacency
+    except EdgeListParseError as exc:
+        return str(exc), exc.line_number
+
+
+class TestBulkParser:
+    def test_base_file_read_in_bulk(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("".join(_edge_list_lines(0)))
+        a = graphs._load_edge_list_bulk(path)
+        assert a is not None
+        assert np.array_equal(a, graphs._load_edge_list_strict(path).adjacency)
+
+    # Line 2 is the first body line; 1025 and 1026 end and start a chunk.
+    @pytest.mark.parametrize("line", [2, 1025, 1026])
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_agrees_with_strict_parser(self, tmp_path, mutation, line):
+        lines = _edge_list_lines(line)
+        lines[line - 1] = MUTATIONS[mutation](lines[line - 1].split()) + "\n"
+        path = tmp_path / "g.edges"
+        path.write_text("".join(lines))
+        got = _parse(bgft.load_edge_list, path)
+        want = _parse(graphs._load_edge_list_strict, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestConstruction:

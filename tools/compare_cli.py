@@ -42,6 +42,15 @@ BAD_FILES = {
     "weight.edges": "0 1 -2.0\n1 0\n",
     "empty.edges": "# only a comment\n",
     "sink.edges": "0 1\n1 2\n",
+    # Header-first, so the bulk edge-list parser reads them first and must
+    # hand each back to the line parser for its error.
+    "bulk-nan.edges": "# nodes 3\n0 1 1.0\n1 2 nan\n2 0 1.0\n",
+    "bulk-huge.edges": "# nodes 3\n0 1 1.0\n1 2 1e400\n2 0 1.0\n",
+    "bulk-index.edges": "# nodes 3\n0 1 1.0\n1 3 1.0\n2 0 1.0\n",
+    "bulk-neg.edges": "# nodes 3\n0 1 1.0\n-1 2 1.0\n2 0 1.0\n",
+    "bulk-comment.edges": "# nodes 3\n0 1 1.0 # c\n1 2 1.0\n2 0 1.0\n",
+    "bulk-header.edges": "# nodes 3\n" + "0 1 1.0\n1 2 1.0\n2 0 1.0\n" * 367
+                         + "# nodes 2\n",
     "text.mtx": "not a Matrix Market file\n",
     "wide.mtx": "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1.0\n",
     "neg.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n"
