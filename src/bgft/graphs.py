@@ -127,11 +127,11 @@ def _load_edge_list_bulk(path) -> np.ndarray | None:
     The body is read BULK_CHUNK_LINES lines at a time, so memory beyond the
     N x N adjacency stays bounded.  np.loadtxt's rules are not the line
     parser's, so this returns None on anything it does not check in full:
-    a chunk with a `#` (a comment or a second header), any error or warning
-    from np.loadtxt (2- and 4-token lines, `1_0`, `3.0` as an index, indices
-    past int64), and an index or weight out of range.  np.add.at sums
-    repeated edges in file order, as the line parser does, so the two agree
-    bit for bit.
+    any error or warning from np.loadtxt (with comments=None, a token holding
+    `#`, as in a comment or a second header; 2- and 4-token lines, `1_0`,
+    `3.0` as an index, indices past int64), and an index or weight out of
+    range.  np.add.at sums repeated edges in file order, as the line parser
+    does, so the two agree bit for bit.
     """
     with open(path) as fh:
         try:
@@ -142,8 +142,6 @@ def _load_edge_list_bulk(path) -> np.ndarray | None:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 while lines := list(islice(fh, BULK_CHUNK_LINES)):
-                    if "#" in "".join(lines):
-                        return None
                     e = np.loadtxt(lines, dtype=_EDGE_DTYPE, comments=None, ndmin=1)
                     i, j, w = e["i"], e["j"], e["w"]
                     if not (np.all((i >= 0) & (i < n) & (j >= 0) & (j < n))

@@ -182,6 +182,42 @@ def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:
     return SamplingSet(nodes=tuple(rng.choice(n, size=m, replace=False)))
 
 
+def _sigma_min_sq_bounds(v_o: np.ndarray, rows) -> np.ndarray:
+    """Per node c, an upper bound on sigma_min(v_o[rows + [c]])**2, from one
+    eigendecomposition of the base B = v_o[rows] (Golub's rank-one modified
+    eigenproblem).  The value is meaningless for c in rows.
+
+    With |rows| >= K, G = B*B = Q diag(lam) Q* and z = |v_o Q|**2: the smallest
+    eigenvalue of G + v*v is the root in [lam_1, lam_2] of the secular
+    equation, at most lam_1 + z_1 / (1 + sum_{i>=2} z_i / (lam_i - lam_1)) and
+    at most lam_2 (interlacing).  With 0 < |rows| < K, BB* = W diag(lam) W* and
+    w = |(v_o B*) W|**2: the Schur-complement test vector gives
+    |v|**2 - sum_i w_i / lam_i and interlacing gives lam_1.  With no rows the
+    value is |v|**2.
+
+    The margin 1e-9 * (lam_max + max |v|**2), far above the roundoff of this
+    eigendecomposition or of an SVD of the extended matrix, is added to the
+    bound and to every denominator; both only raise the bound.
+    """
+    sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
+    if len(rows) == 0:
+        return sq + 1e-9 * sq.max()
+    b = v_o[list(rows)]
+    if len(rows) >= v_o.shape[1]:
+        lam, q = np.linalg.eigh(b.conj().T @ b)
+        margin = 1e-9 * (lam[-1] + sq.max())
+        z = np.abs(v_o @ q) ** 2
+        bound = lam[0] + z[:, 0] / (1 + z[:, 1:] @ (1 / (lam[1:] - lam[0] + margin)))
+        if len(lam) > 1:
+            bound = np.minimum(bound, lam[1])
+    else:
+        lam, w = np.linalg.eigh(b @ b.conj().T)
+        margin = 1e-9 * (lam[-1] + sq.max())
+        y = np.abs(v_o @ b.conj().T @ w) ** 2
+        bound = np.minimum(np.maximum(sq - y @ (1 / (lam + margin)), 0.0), lam[0])
+    return bound + margin
+
+
 def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> SamplingSet:
     """Sampling set maximizing sigma_min(P_M V_Omega), built greedily.
 
@@ -194,26 +230,57 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     node set (keyed by its bitmask, computed on its sorted rows, so the value
     depends only on the set).  The unscored candidates of one growth step, or
     of one exchange scan from a given candidate on, share one stacked SVD.
+
+    Before that SVD, candidates are screened by _sigma_min_sq_bounds of the
+    base the scan extends (memoized per base), a certified upper bound on each
+    candidate's sigma_min**2 with a margin of 1e-9 * (lam_max + max |v|**2)
+    above roundoff.  A growth step first scores the candidate with the largest
+    bound and drops every candidate whose bound is at most the largest exact
+    sigma_min**2 known; such a candidate lies far more than the 1e-15 tie
+    tolerance below the maximum, so it can neither win nor, by entering the
+    sequential tie rule first, block the winner.  An exchange scan drops every
+    candidate whose bound is at most (current + 1e-12)**2, which cannot be an
+    improvement.  Exact values still come only from the SVD, so every
+    decision, and the returned set, is the one the unscreened search makes.
     """
     n = basis.n
     m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
     v_o = band_vectors(basis, omega)
     sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
+    bounds = {}  # base bitmask -> _sigma_min_sq_bounds of the base, per node
 
-    def scan(chosen, mask, cands, pos=None):
-        """sigma_min of chosen with each candidate appended (pos None) or
-        put in place of chosen[pos]."""
+    def decompose(chosen, cands, pos, keys):
+        """Memoize sigma_min of chosen with each of cands appended (pos None)
+        or put in place of chosen[pos], from one stacked SVD."""
+        sets = np.empty((len(cands), len(chosen) + (pos is None)), dtype=np.intp)
+        sets[:, :len(chosen)] = chosen
+        sets[:, len(chosen) if pos is None else pos] = cands
+        sets.sort(axis=1)
+        sv = np.linalg.svd(v_o[sets], compute_uv=False)[:, -1]
+        sigma.update(zip(keys, sv.tolist()))
+
+    def scan(chosen, mask, cands, pos=None, floor=None):
+        """sigma_min of chosen with each candidate appended (pos None) or put
+        in place of chosen[pos]; -inf for a candidate screened out because
+        its bound is at most floor (a squared sigma_min).  A growth step
+        passes no floor and gets the largest exact value after the
+        candidate with the largest bound is scored."""
         base = mask if pos is None else mask & ~(1 << chosen[pos])
         keys = [base | 1 << c for c in cands]
         new = [i for i, key in enumerate(keys) if key not in sigma]
+        if len(new) > 2:
+            if base not in bounds:
+                rows = chosen if pos is None else chosen[:pos] + chosen[pos + 1:]
+                bounds[base] = _sigma_min_sq_bounds(v_o, rows)
+            bound = bounds[base][[cands[i] for i in new]]
+            if floor is None:
+                top = new[int(np.argmax(bound))]
+                decompose(chosen, [cands[top]], pos, [keys[top]])
+                floor = max(sigma[key] for key in keys if key in sigma) ** 2
+            new = [i for i, b in zip(new, bound.tolist()) if b > floor and keys[i] not in sigma]
         if new:
-            sets = np.empty((len(new), len(chosen) + (pos is None)), dtype=np.intp)
-            sets[:, :len(chosen)] = chosen
-            sets[:, len(chosen) if pos is None else pos] = [cands[i] for i in new]
-            sets.sort(axis=1)
-            sv = np.linalg.svd(v_o[sets], compute_uv=False)[:, -1]
-            sigma.update(zip([keys[i] for i in new], sv.tolist()))
-        return [sigma[key] for key in keys]
+            decompose(chosen, [cands[i] for i in new], pos, [keys[i] for i in new])
+        return [sigma.get(key, -np.inf) for key in keys]
 
     def one_run(start):
         chosen, mask = [start], 1 << start
@@ -234,7 +301,7 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
             for pos in range(m):
                 j = 0
                 while j < len(remaining):
-                    trial = scan(chosen, mask, remaining[j:], pos)
+                    trial = scan(chosen, mask, remaining[j:], pos, (current + 1e-12) ** 2)
                     hit = next((i for i, s in enumerate(trial) if s > current + 1e-12), None)
                     if hit is None:
                         break

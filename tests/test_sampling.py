@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 import bgft
 from bgft.errors import InvalidNodeError, InvalidSizeError, RankDeficientError
+from bgft.sampling import _sigma_min_sq_bounds
 
-from conftest import random_digraph
+from conftest import random_digraph, random_reversible_graph
 
 
 @pytest.fixture(scope="module")
@@ -425,3 +426,132 @@ class TestGreedySearch:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         bgft.greedy_sampling_set(basis, omega, m)
         assert seen and len(set(seen)) == len(seen)
+
+
+def memoized_greedy(v_o, m):
+    """greedy_sampling_set as it was before candidates were screened by a
+    bound: the memoized search that SVDs every unscored candidate.  The
+    reference whose decisions the screened search must repeat."""
+    n = v_o.shape[0]
+    sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
+
+    def scan(chosen, mask, cands, pos=None):
+        base = mask if pos is None else mask & ~(1 << chosen[pos])
+        keys = [base | 1 << c for c in cands]
+        new = [i for i, key in enumerate(keys) if key not in sigma]
+        if new:
+            sets = np.empty((len(new), len(chosen) + (pos is None)), dtype=np.intp)
+            sets[:, :len(chosen)] = chosen
+            sets[:, len(chosen) if pos is None else pos] = [cands[i] for i in new]
+            sets.sort(axis=1)
+            sv = np.linalg.svd(v_o[sets], compute_uv=False)[:, -1]
+            sigma.update(zip([keys[i] for i in new], sv.tolist()))
+        return [sigma[key] for key in keys]
+
+    def one_run(start):
+        chosen, mask = [start], 1 << start
+        remaining = [i for i in range(n) if i != start]
+        if m == 1:
+            scan([], 0, chosen)
+        for _ in range(m - 1):
+            best_i, best_sigma = 0, -1.0
+            for i, s in enumerate(scan(chosen, mask, remaining)):
+                if s > best_sigma + 1e-15:
+                    best_i, best_sigma = i, s
+            chosen.append(remaining.pop(best_i))
+            mask |= 1 << chosen[-1]
+        improved = True
+        while improved and remaining:
+            improved = False
+            current = sigma[mask]
+            for pos in range(m):
+                j = 0
+                while j < len(remaining):
+                    trial = scan(chosen, mask, remaining[j:], pos)
+                    hit = next((i for i, s in enumerate(trial) if s > current + 1e-12), None)
+                    if hit is None:
+                        break
+                    j += hit
+                    old, chosen[pos] = chosen[pos], remaining.pop(j)
+                    remaining.append(old)
+                    mask = mask & ~(1 << old) | 1 << chosen[pos]
+                    current = trial[hit]
+                    improved = True
+                    j += 1
+        return chosen, sigma[mask]
+
+    best_set, best_val = None, -1.0
+    for start in range(n):
+        chosen, val = one_run(start)
+        if val > best_val + 1e-15:
+            best_set, best_val = chosen, val
+    return tuple(sorted(best_set))
+
+
+def screen_graph(kind, n):
+    if kind == "perturbed":
+        src, dst = np.random.default_rng(n).choice(n, 2, replace=False)
+        return bgft.add_directed_chord(bgft.directed_cycle(n), 5.0 + n, int(src), int(dst))
+    if kind == "random":
+        return random_digraph(n, 800 + n)
+    return random_reversible_graph(n, 900 + n)
+
+
+def screen_cases():
+    for kind in ("perturbed", "random", "reversible"):
+        for n in (16, 24, 32):
+            for k in (2, 4, 8):
+                for m in sorted({1, k - 1, k, 2 * k}):
+                    yield pytest.param(kind, n, k, m, id=f"{kind}-n{n}-K{k}-m{m}")
+
+
+def bound_cases():
+    rng = np.random.default_rng(1234)
+    for n, k in ((6, 1), (9, 3), (12, 5), (16, 4), (16, 5)):
+        v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        yield pytest.param(v, id=f"random-n{n}-K{k}")
+    basis = bgft.decompose(bgft.transition(bgft.directed_cycle(12)))
+    yield pytest.param(bgft.band_vectors(basis, bgft.select_band(basis, 4)),
+                       id="directed-cycle-n12-K4")  # rows of equal modulus
+    rows = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    yield pytest.param(rows[rng.integers(0, 4, 12)], id="repeated-rows-n12-K5")
+    low = (rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))) @ rows[:2]
+    yield pytest.param(low, id="rank2-n12-K5")
+
+
+class TestScreenedSearch:
+    @pytest.mark.parametrize("v_o", bound_cases())
+    def test_bound_dominates_exact(self, v_o):
+        n = v_o.shape[0]
+        rng = np.random.default_rng(n)
+        sq = np.sum(np.abs(v_o) ** 2, axis=1)
+        excess = _sigma_min_sq_bounds(v_o, []) - sq  # the margin alone
+        assert np.all((excess >= 0) & (excess <= 1e-8 * sq.max()))
+        for size in range(n):
+            for _ in range(3):
+                base = rng.choice(n, size, replace=False).tolist()
+                bound = _sigma_min_sq_bounds(v_o, base)
+                for c in sorted(set(range(n)) - set(base)):
+                    exact = np.linalg.svd(v_o[sorted(base + [c])], compute_uv=False)[-1]
+                    assert bound[c] >= exact ** 2, (size, base, c)
+
+    @pytest.mark.parametrize("kind,n,k,m", screen_cases())
+    def test_same_set_as_memoized_search(self, kind, n, k, m, monkeypatch):
+        basis = bgft.decompose(bgft.transition(screen_graph(kind, n)))
+        omega = bgft.select_band(basis, k)
+        v_o = bgft.band_vectors(basis, omega)
+        matrices = []  # matrices passed to the SVD, per search
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            matrices[-1] += a.reshape(-1, *a.shape[-2:]).shape[0]
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        matrices.append(0)
+        want = memoized_greedy(v_o, m)
+        matrices.append(0)
+        assert bgft.greedy_sampling_set(basis, omega, m).nodes == want
+        if (n, k, m) == (32, 8, 16):
+            assert matrices[1] <= matrices[0] / 2
