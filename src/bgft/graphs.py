@@ -26,6 +26,13 @@ MAX_NODES = 4096
 # at 1024 lines) stays well below the adjacency.
 BULK_CHUNK_LINES = 1024
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+# np.loadtxt record type of one Matrix Market coordinate entry, by field.
+_MTX_DTYPES = {
+    "real": _EDGE_DTYPE,
+    "double": _EDGE_DTYPE,
+    "integer": np.dtype([("i", np.int64), ("j", np.int64), ("w", np.int64)]),
+    "pattern": np.dtype([("i", np.int64), ("j", np.int64)]),
+}
 
 
 @dataclass(frozen=True)
@@ -124,14 +131,14 @@ def _load_edge_list_bulk(path) -> np.ndarray | None:
     whose other lines are blank or `src dst weight` with indices in [0, N)
     and finite weights >= 0; None for any other file.
 
-    The body is read BULK_CHUNK_LINES lines at a time, so memory beyond the
-    N x N adjacency stays bounded.  np.loadtxt's rules are not the line
-    parser's, so this returns None on anything it does not check in full:
-    any error or warning from np.loadtxt (with comments=None, a token holding
-    `#`, as in a comment or a second header; 2- and 4-token lines, `1_0`,
-    `3.0` as an index, indices past int64), and an index or weight out of
-    range.  np.add.at sums repeated edges in file order, as the line parser
-    does, so the two agree bit for bit.
+    The body goes through _add_entries, which reads it in chunks.  Its
+    np.loadtxt rules are not the line parser's, so this returns None on
+    anything it does not check in full: any error or warning from np.loadtxt
+    (with comments=None, a token holding `#`, as in a comment or a second
+    header; 2- and 4-token lines, `1_0`, `3.0` as an index, indices past
+    int64), and an index or weight out of range.  np.add.at sums repeated
+    edges in file order, as the line parser does, so the two agree bit for
+    bit.
     """
     with open(path) as fh:
         try:
@@ -139,18 +146,47 @@ def _load_edge_list_bulk(path) -> np.ndarray | None:
             if n is None:
                 return None
             a = np.zeros((n, n))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                while lines := list(islice(fh, BULK_CHUNK_LINES)):
-                    e = np.loadtxt(lines, dtype=_EDGE_DTYPE, comments=None, ndmin=1)
-                    i, j, w = e["i"], e["j"], e["w"]
-                    if not (np.all((i >= 0) & (i < n) & (j >= 0) & (j < n))
-                            and np.all(np.isfinite(w) & (w >= 0))):
-                        return None
-                    np.add.at(a, (i, j), w)
+            _add_entries(a, fh, _EDGE_DTYPE, 0)
         except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
             return None
     return a
+
+
+def _add_entries(a, fh, dtype, offset: int, symmetric: bool = False) -> int:
+    """Sum the `i j [w]` lines left in fh into the N x N adjacency a and
+    return how many entries were read.
+
+    Lines are read BULK_CHUNK_LINES at a time and parsed by np.loadtxt into
+    records of dtype (fields i, j and, unless every weight is 1, w), so
+    memory beyond a stays bounded.  Indices run from offset to N - 1 +
+    offset; with symmetric, each off-diagonal entry is added at (j, i) too.
+    Raises ValueError for an index out of range, a weight that is not finite
+    and >= 0, or a line np.loadtxt refuses, and turns np.loadtxt's warnings
+    into errors; a may then hold part of the file.
+    """
+    n = a.shape[0]
+    count = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while lines := list(islice(fh, BULK_CHUNK_LINES)):
+            if not any(map(str.strip, lines)):  # np.loadtxt warns on no data
+                continue
+            e = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+            # An index of int64's minimum wraps to its maximum here: >= n.
+            i, j = e["i"] - offset, e["j"] - offset
+            w = e["w"] if "w" in dtype.names else np.ones(len(e))
+            if not np.all((i >= 0) & (i < n) & (j >= 0) & (j < n)):
+                raise ValueError(f"node index outside {offset}..{n - 1 + offset}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("adjacency entries must be finite")
+            if np.any(w < 0):
+                raise ValueError("adjacency entries must be nonnegative")
+            np.add.at(a, (i, j), w)
+            if symmetric:
+                off = i != j
+                np.add.at(a, (j[off], i[off]), w[off])
+            count += len(e)
+    return count
 
 
 def _header_node_count(line: str) -> int | None:
@@ -230,33 +266,68 @@ def _load_edge_list_strict(path) -> DirectedGraph:
 
 
 def load_matrix_market(path) -> DirectedGraph:
-    """Read a Matrix Market coordinate file (general, real) as a digraph of
-    at most MAX_NODES nodes."""
-    import scipy.io
+    """Read a Matrix Market coordinate file as a digraph of at most
+    MAX_NODES nodes: the entry in row i, column j (1-based) is the weight of
+    edge i-1 -> j-1.
 
-    try:
-        m = scipy.io.mmread(path)
-    except Exception as exc:
-        raise EdgeListParseError(path, 0, f"not a readable Matrix Market file: {exc}")
-    if np.iscomplexobj(m):
-        raise EdgeListParseError(path, 0, "complex entries are not supported")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise EdgeListParseError(path, 0, f"adjacency must be square, got {m.shape}")
-    if m.shape[0] > MAX_NODES:
-        raise EdgeListParseError(
-            path, 0, f"node count {m.shape[0]} > MAX_NODES={MAX_NODES}"
-        )
-    try:
-        return DirectedGraph(m.todense() if hasattr(m, "todense") else m)
-    except ValueError as exc:
-        raise EdgeListParseError(path, 0, str(exc))
+    The banner must name the coordinate format, a real, double, integer or
+    pattern field (a pattern entry weighs 1) and general or symmetric
+    symmetry (each off-diagonal entry is mirrored).  `%` comment lines may
+    precede the `rows cols nnz` size line.  The entries go through the
+    edge-list bulk parser's chunked reader (_add_entries), with indices from
+    1, and repeated entries are summed in file order.  Every refusal is an
+    EdgeListParseError at line 0: a complex, array, hermitian or
+    skew-symmetric file, a non-square size or one above MAX_NODES (checked
+    before the adjacency is allocated), an index outside 1..N, an entry
+    count other than nnz, a token np.loadtxt refuses, and a negative or
+    non-finite entry.
+    """
+    with open(path) as fh:
+        try:
+            n, nnz, dtype, symmetric = _mtx_header(fh)
+            a = np.zeros((n, n))
+            count = _add_entries(a, fh, dtype, 1, symmetric)
+            if count != nnz:
+                raise ValueError(f"size line gives {nnz} entries, file has {count}")
+            return DirectedGraph(a)
+        except (ValueError, Warning) as exc:  # UnicodeDecodeError is a ValueError
+            raise EdgeListParseError(path, 0, str(exc)) from None
+
+
+def _mtx_header(fh) -> tuple[int, int, np.dtype, bool]:
+    """(N, nnz, entry dtype, symmetric) from the banner, comment lines and
+    size line of a Matrix Market file, leaving fh at the first entry;
+    ValueError for a header that load_matrix_market refuses."""
+    banner = fh.readline().split()
+    if len(banner) != 5 or [t.lower() for t in banner[:2]] != ["%%matrixmarket", "matrix"]:
+        raise ValueError("not a readable Matrix Market file: no '%%MatrixMarket matrix' banner")
+    fmt, field, symmetry = (t.lower() for t in banner[2:])
+    if field == "complex":
+        raise ValueError("complex entries are not supported")
+    for value, supported, what in ((fmt, ("coordinate",), "format"),
+                                   (field, _MTX_DTYPES, "field"),
+                                   (symmetry, ("general", "symmetric"), "symmetry")):
+        if value not in supported:
+            raise ValueError(f"{value} {what} is not supported")
+    line = fh.readline()
+    while line.startswith("%") or (line and not line.strip()):
+        line = fh.readline()
+    sizes = line.split()
+    if len(sizes) != 3 or not all(t.isdecimal() for t in sizes):
+        raise ValueError(f"not a readable Matrix Market file: bad size line {line!r}")
+    rows, cols, nnz = map(int, sizes)
+    if rows != cols:
+        raise ValueError(f"adjacency must be square, got {(rows, cols)}")
+    if rows > MAX_NODES:
+        raise ValueError(f"node count {rows} > MAX_NODES={MAX_NODES}")
+    return rows, nnz, _MTX_DTYPES[field], symmetry == "symmetric"
 
 
 def load_graph(path) -> DirectedGraph:
-    """Dispatch on extension: .mtx is Matrix Market, anything else edge list."""
-    if str(path).endswith(".mtx"):
-        return load_matrix_market(path)
+    """Dispatch on extension: .mtx is Matrix Market, anything else edge list.
+    A file that cannot be opened or read is a BgftError either way."""
+    load = load_matrix_market if str(path).endswith(".mtx") else load_edge_list
     try:
-        return load_edge_list(path)
+        return load(path)
     except OSError as exc:
         raise BgftError(f"cannot read graph file {path}: {exc.strerror or exc}")

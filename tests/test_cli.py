@@ -213,6 +213,11 @@ BAD_INPUTS = [
                  id="missing-signal-file"),
     pytest.param(["indices", "--graph", "file", "--input", "{tmp}/missing"], None,
                  "cannot read graph file", id="missing-graph-file"),
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/missing.mtx"], None,
+                 "cannot read graph file {tmp}/missing.mtx: No such file",
+                 id="missing-mtx-file"),
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/dir.mtx"], None,
+                 "cannot read graph file {tmp}/dir.mtx: Is a directory", id="directory-as-mtx"),
     pytest.param(["table1", "--k", "30", "--m", "20"], None,
                  "need 1 <= K <= m <= n", id="table1-k-above-m"),
     pytest.param(["indices", "--out", "{tmp}/missing/r.json"], None, "cannot write",
@@ -289,10 +294,11 @@ class TestBadInput:
             monkeypatch.setenv("BGFT_SEED", env_seed)
         for name, text in BAD_FILES.items():
             (tmp_path / name).write_text(text)
+        (tmp_path / "dir.mtx").mkdir()
         assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message.replace("{tmp}", str(tmp_path)) in err
 
     def test_generated_graph_over_cap(self, no_transition, capsys):
         # Refused before the transition operator is built: without the cap
@@ -406,10 +412,27 @@ class TestTable1:
 
 def test_import_loads_no_scipy():
     # scipy roughly doubles a fresh process's import time and memory, and
-    # every bgft invocation pays for it; only reading a .mtx file needs it.
+    # every bgft invocation would pay for it; no module under src/ imports it.
     src = str(Path(bgft.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import bgft, bgft.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_mtx_run_loads_no_scipy(tmp_path):
+    # Matrix Market files go through graphs' own numpy parser.
+    mtx = tmp_path / "c3.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "3 3 3\n1 2 1.0\n2 3 1.0\n3 1 1.0\n")
+    out_file = tmp_path / "r.json"
+    src = str(Path(bgft.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from bgft import cli; "
+            "rc = cli.main(['indices', '--graph', 'file', '--input', sys.argv[2], "
+            "'--out', sys.argv[3]]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(mtx), str(out_file)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 []\n"
+    assert out_file.exists()

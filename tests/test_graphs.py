@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import bgft
 from bgft import graphs
-from bgft.errors import EdgeListParseError, InvalidNodeError, InvalidSizeError
+from bgft.errors import BgftError, EdgeListParseError, InvalidNodeError, InvalidSizeError
 
 
 class TestGenerators:
@@ -292,6 +292,123 @@ class TestBulkParser:
             assert got == want
         else:
             assert np.array_equal(got, want)
+
+
+MTX_BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def _mmread_adjacency(path) -> np.ndarray:
+    """scipy's reading of a Matrix Market file, as a dense float64 array."""
+    scipy_io = pytest.importorskip("scipy.io")
+    return np.asarray(scipy_io.mmread(path).todense()).astype(float)
+
+
+class TestMatrixMarket:
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    @pytest.mark.parametrize("field", ["real", "integer", "pattern"])
+    def test_matches_mmread(self, tmp_path, field, symmetry):
+        scipy_io = pytest.importorskip("scipy.io")
+        rng = np.random.default_rng(3)
+        a = rng.random((9, 9)) * (rng.random((9, 9)) < 0.4)
+        if field == "integer":
+            a = np.round(a * 20)
+        if symmetry == "symmetric":
+            a = a + a.T
+        path = tmp_path / "g.mtx"
+        scipy_io.mmwrite(str(path), pytest.importorskip("scipy.sparse").coo_matrix(a),
+                         field=field, symmetry=symmetry)
+        assert f"{field} {symmetry}" in path.read_text().splitlines()[0]
+        got = bgft.load_matrix_market(path).adjacency
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _mmread_adjacency(path))
+
+    def test_comments_and_repeated_entries_match_mmread(self, tmp_path):
+        # 0.1 + 0.2 + 0.3 depends on the order of the sum: file order.
+        path = tmp_path / "g.mtx"
+        path.write_text(MTX_BANNER + "% a comment\n%\n% another\n3 3 7\n"
+                        "1 2 0.1\n1 2 0.2\n1 2 0.3\n2 3 1.0\n3 1 1.0\n3 1 2.5\n1 1 0.5\n")
+        got = bgft.load_matrix_market(path).adjacency
+        assert got[0, 1] == 0.1 + 0.2 + 0.3
+        assert np.array_equal(got, _mmread_adjacency(path))
+
+    def test_blank_lines_after_a_full_chunk(self, tmp_path):
+        # The last chunk holds blank lines only.
+        m = graphs.BULK_CHUNK_LINES
+        path = tmp_path / "g.mtx"
+        path.write_text(MTX_BANNER + f"2 2 {m}\n" + "1 2 1.0\n2 1 1.0\n" * (m // 2) + "\n\n")
+        got = bgft.load_matrix_market(path).adjacency
+        assert np.array_equal(got, [[0.0, m / 2], [m / 2, 0.0]])
+
+    @pytest.mark.parametrize("text,message", [
+        ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 1.0 0.0\n",
+         "complex entries are not supported"),
+        ("%%MatrixMarket matrix array real general\n2 2\n0\n1\n1\n0\n",
+         "array format is not supported"),
+        ("%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n2 1 1.0\n",
+         "hermitian symmetry is not supported"),
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+         "skew-symmetric symmetry is not supported"),
+        ("not a Matrix Market file\n", "not a readable Matrix Market file"),
+        (MTX_BANNER + "2 2\n1 2 1.0\n", "not a readable Matrix Market file: bad size line"),
+        (MTX_BANNER + "2 3 1\n1 2 1.0\n", "adjacency must be square, got (2, 3)"),
+        (MTX_BANNER + "3 3 2\n1 2 1.0\n0 1 1.0\n", "node index outside 1..3"),
+        (MTX_BANNER + "3 3 2\n1 2 1.0\n3 4 1.0\n", "node index outside 1..3"),
+        (MTX_BANNER + "3 3 1\n-9223372036854775808 1 1.0\n", "node index outside 1..3"),
+        (MTX_BANNER + "3 3 3\n1 2 1.0\n2 3 1.0\n", "size line gives 3 entries, file has 2"),
+        (MTX_BANNER + "3 3 1\n1 2 1.0\n2 3 1.0\n", "size line gives 1 entries, file has 2"),
+        (MTX_BANNER + "3 3 1\n1 2 abc\n", "could not convert string 'abc'"),
+        (MTX_BANNER + "3 3 1\n1.0 2 1.0\n", "could not convert string '1.0'"),
+        (MTX_BANNER + "3 3 1\n1 2\n", "requires 3 columns"),
+        (MTX_BANNER + "3 3 2\n1 2 1.0\n% late comment\n", "could not convert"),
+        ("%%MatrixMarket matrix coordinate integer general\n3 3 1\n1 2 1.5\n",
+         "could not convert string '1.5'"),
+        ("%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2 1.0\n",
+         "requires 2 columns"),
+        (MTX_BANNER + "3 3 1\n1 2 -1.0\n", "adjacency entries must be nonnegative"),
+        (MTX_BANNER + "3 3 1\n1 2 inf\n", "adjacency entries must be finite"),
+    ], ids=["complex", "array", "hermitian", "skew-symmetric", "no-banner", "size-line",
+            "non-square", "index-zero", "index-past-n", "index-int64-min", "too-few-entries",
+            "too-many-entries", "weight-token", "index-token", "two-tokens", "body-comment",
+            "integer-token", "pattern-weight", "negative", "inf"])
+    def test_refused(self, tmp_path, text, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match="bad.mtx:0: ") as exc:
+            bgft.load_graph(path)
+        assert message in str(exc.value)
+
+    def test_node_cap_before_allocation(self, tmp_path):
+        # 5000 x 5000 would be 200 MB.
+        path = tmp_path / "g.mtx"
+        path.write_text(MTX_BANNER + "5000 5000 2\n1 2 1.0\n2 1 1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListParseError,
+                               match="g.mtx:0: node count 5000 > MAX_NODES"):
+                bgft.load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_memory_bounded(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "100 100 200000\n" + "2 1 1.0\n" * 200_000)
+        tracemalloc.start()
+        try:
+            g = bgft.load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.adjacency[0, 1] == g.adjacency[1, 0] == 200_000.0
+        assert peak < g.adjacency.nbytes + 0.5e6
+
+    @pytest.mark.parametrize("name", ["missing.mtx", "missing.edges", "dir.mtx"])
+    def test_unreadable_file(self, tmp_path, name):
+        (tmp_path / "dir.mtx").mkdir()
+        with pytest.raises(BgftError, match=f"cannot read graph file .*{name}: "):
+            bgft.load_graph(tmp_path / name)
 
 
 class TestConstruction:

@@ -3,9 +3,10 @@
     python tools/compare_cli.py OLD_SRC NEW_SRC
 
 Each SRC is a directory holding the bgft package (a checkout's src/).  The
-script writes its inputs to a temporary directory: an edge list, a Matrix
-Market file written by scipy.io.mmwrite, a real and a complex signal file,
-and the malformed files the rejections read.  It runs a fixed list of argvs
+script writes its inputs to a temporary directory: an edge list, three
+Matrix Market files written by scipy.io.mmwrite (real general, real
+symmetric and pattern), a real and a complex signal file, and the malformed
+files the rejections read.  It runs a fixed list of argvs
 as `python -m bgft.cli` under each tree, with BGFT_SEED unset, and compares
 exit status, stdout, stderr and any --out file.  The list covers the five
 subcommands, all three formats, the three generated graphs, both graph file
@@ -70,6 +71,9 @@ def write_inputs(d: Path) -> None:
         for i, j in zip(*np.nonzero(a)):
             fh.write(f"{i} {j} {float(a[i, j])!r}\n")
     scipy.io.mmwrite(str(d / "graph.mtx"), scipy.sparse.coo_matrix(a.T))
+    scipy.io.mmwrite(str(d / "symmetric.mtx"), scipy.sparse.coo_matrix(a + a.T),
+                     symmetry="symmetric")
+    scipy.io.mmwrite(str(d / "pattern.mtx"), scipy.sparse.coo_matrix(a > 0), field="pattern")
     x = rng.standard_normal(N)
     (d / "x.sig").write_text("".join(f"{v!r}\n" for v in x.tolist()))
     z = x + 1j * rng.standard_normal(N)
@@ -88,6 +92,8 @@ def argvs() -> list:
         ["--graph", "perturbed-cycle", "--eps", "3.5", "--chord-src", "5", "--chord-dst", "40"],
         ["--graph", "file", "--input", "{d}/graph.edges"],
         ["--graph", "file", "--input", "{d}/graph.mtx"],
+        ["--graph", "file", "--input", "{d}/symmetric.mtx"],
+        ["--graph", "file", "--input", "{d}/pattern.mtx"],
     ]
     out = []
     for g in graphs:
@@ -132,6 +138,7 @@ def argvs() -> list:
         *[["indices", "--graph", "file", "--input", "{d}/" + name]
           for name in BAD_FILES if name.endswith((".edges", ".mtx"))],
         ["indices", "--graph", "file", "--input", "{d}/missing.edges"],
+        ["indices", "--graph", "file", "--input", "{d}/missing.mtx"],
     ]
     return out
 
