@@ -308,6 +308,7 @@ class TestMatrixMarket:
     @pytest.mark.parametrize("field", ["real", "integer", "pattern"])
     def test_matches_mmread(self, tmp_path, field, symmetry):
         scipy_io = pytest.importorskip("scipy.io")
+        scipy_sparse = pytest.importorskip("scipy.sparse")
         rng = np.random.default_rng(3)
         a = rng.random((9, 9)) * (rng.random((9, 9)) < 0.4)
         if field == "integer":
@@ -315,8 +316,7 @@ class TestMatrixMarket:
         if symmetry == "symmetric":
             a = a + a.T
         path = tmp_path / "g.mtx"
-        scipy_io.mmwrite(str(path), pytest.importorskip("scipy.sparse").coo_matrix(a),
-                         field=field, symmetry=symmetry)
+        scipy_io.mmwrite(str(path), scipy_sparse.coo_matrix(a), field=field, symmetry=symmetry)
         assert f"{field} {symmetry}" in path.read_text().splitlines()[0]
         got = bgft.load_matrix_market(path).adjacency
         assert got.dtype == np.float64
