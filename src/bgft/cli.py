@@ -186,13 +186,12 @@ def cmd_diffuse(args, stream) -> None:
     basis, x = load_input(args)
     # Iterated here rather than with transform.diffuse_direct, which returns
     # only the last iterate: every step's norm is checked and reported.
-    p = basis.operator.p
     records = []
     norm0 = np.linalg.norm(x)
     cur = x
     for s in range(args.t + 1):
         if s > 0:
-            cur = p @ cur
+            cur = basis.operator.apply(cur)
         norm = float(np.linalg.norm(cur))
         bound = transform.iterate_bound(basis, s) * float(norm0)
         if norm > bound + 1e-8:

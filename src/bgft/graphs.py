@@ -1,8 +1,10 @@
 """Directed weighted graphs: canonical generators and file I/O.
 
 Adjacency is stored dense (experiments stay at a few hundred nodes, and dense
-storage keeps the linear algebra uniform).  A_{ij} is the weight of edge
-i -> j; weights are nonnegative reals.
+storage keeps the linear algebra uniform).  Iterated P x is the one place
+where sparsity pays: markov.TransitionOperator.apply runs a sparse P through
+a cached row view of its nonzeros.  A_{ij} is the weight of edge i -> j;
+weights are nonnegative reals.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def load_edge_list(path) -> DirectedGraph:
     comment.  A `# nodes N` header pins the node count, and every node index
     must be below it; otherwise the count is 1 + max node index seen.  Either
     way the count is at most MAX_NODES.  Repeated edges are summed in file
-    order.
+    order, and a sum past the float64 maximum is an EdgeListParseError at
+    the line that made it.
 
     A file whose first line is the header, as save_edge_list writes it, is
     parsed in bulk (_load_edge_list_bulk).  Any other file, and any file the
@@ -161,8 +164,9 @@ def _add_entries(a, fh, dtype, offset: int, symmetric: bool = False) -> int:
     memory beyond a stays bounded.  Indices run from offset to N - 1 +
     offset; with symmetric, each off-diagonal entry is added at (j, i) too.
     Raises ValueError for an index out of range, a weight that is not finite
-    and >= 0, or a line np.loadtxt refuses, and turns np.loadtxt's warnings
-    into errors; a may then hold part of the file.
+    and >= 0, repeated weights whose sum is not finite, or a line np.loadtxt
+    refuses, and turns np.loadtxt's warnings into errors; a may then hold
+    part of the file.
     """
     n = a.shape[0]
     count = 0
@@ -181,10 +185,15 @@ def _add_entries(a, fh, dtype, offset: int, symmetric: bool = False) -> int:
                 raise ValueError("adjacency entries must be finite")
             if np.any(w < 0):
                 raise ValueError("adjacency entries must be nonnegative")
-            np.add.at(a, (i, j), w)
-            if symmetric:
-                off = i != j
-                np.add.at(a, (j[off], i[off]), w[off])
+            with np.errstate(over="ignore"):
+                np.add.at(a, (i, j), w)
+                if symmetric:
+                    off = i != j
+                    np.add.at(a, (j[off], i[off]), w[off])
+            # Each weight is finite, so only an entry added to can overflow;
+            # a mirrored entry holds the same sum as its twin at (i, j).
+            if not np.all(np.isfinite(a[i, j])):
+                raise ValueError("a summed weight is not finite")
             count += len(e)
     return count
 
@@ -255,6 +264,10 @@ def _load_edge_list_strict(path) -> DirectedGraph:
             if w < 0 or not np.isfinite(w):
                 raise EdgeListParseError(path, lineno, f"bad weight {w!r}")
             weights[i, j] = weights.get((i, j), 0.0) + w
+            if not np.isfinite(weights[i, j]):
+                raise EdgeListParseError(
+                    path, lineno, f"summed weight of edge {i} -> {j} is not finite"
+                )
             top = max(top, i + 1, j + 1)
     n = top if nodes is None else nodes
     if n == 0:
@@ -279,8 +292,8 @@ def load_matrix_market(path) -> DirectedGraph:
     EdgeListParseError at line 0: a complex, array, hermitian or
     skew-symmetric file, a non-square size or one above MAX_NODES (checked
     before the adjacency is allocated), an index outside 1..N, an entry
-    count other than nnz, a token np.loadtxt refuses, and a negative or
-    non-finite entry.
+    count other than nnz, a token np.loadtxt refuses, a negative or
+    non-finite entry, and repeated entries whose sum is not finite.
     """
     with open(path) as fh:
         try:

@@ -18,19 +18,38 @@ from .graphs import DirectedGraph, out_degrees
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-10
+# apply uses the row view of a P with at most n^2 / ROW_VIEW_DENSITY nonzeros
+# (2 per row at n = 64, 8 at n = 256, 16 at n = 512), the dense matvec
+# otherwise.  Measured by tools/matvec_crossover.py: at n >= 256 the view
+# wins up to 4 nonzeros per row, and at n >= 512 up to 16; it loses at 64 per
+# row, and at n = 64 at any density, there by about 1 us per matvec.
+ROW_VIEW_DENSITY = 32
+# The eigh route's decomposition is kept only when its residual against P is
+# at most this multiple of n * eps * max(1, ||P||_F).  Clean reversible chains
+# measured at most 1.5 of that unit (the 600 seeded families, n up to 512);
+# one that passed the symmetry test only within REVERSIBILITY_TOL (edge
+# weights off by 1e-10) measured 1300 and goes to eig_general instead.
+EIGH_RESIDUAL_FACTOR = 16
 
 
 @dataclass(frozen=True)
 class TransitionOperator:
     """Row-stochastic P; its diffusion generator I - P is derived from it.
 
+    P is stored dense.  apply(x) is the one P x of the library: a sparse P
+    (at most n^2 / ROW_VIEW_DENSITY nonzeros) is applied through a row view
+    of its nonzeros, built with numpy on first use and cached, so iterated
+    diffusion costs O(t nnz); a denser P takes the dense matvec and never
+    builds the view.  The two agree up to summation order.
+
     eig is the one eigendecomposition of P, computed on first use and shared
     by the biorthogonal basis (transform.decompose) and the stationary
     distribution.  It chooses the solver: a reversible P is self-adjoint
     in the pi inner product, so S = Pi^{1/2} P Pi^{-1/2} (symmetrize) goes
     to eigh (linalg.eig_symmetrized; see _symmetric_form for the test).
-    Every other chain goes to linalg.eig_general.  eig.solver records which
-    ran.
+    Every other chain, and a reversible one whose eigh residual against P
+    is above roundoff (EIGH_RESIDUAL_FACTOR), goes to linalg.eig_general.
+    eig.solver records which ran.
     """
 
     p: np.ndarray
@@ -45,10 +64,38 @@ class TransitionOperator:
 
     @cached_property
     def eig(self) -> linalg.EigenDecomposition:
-        form = _symmetric_form(self)
-        if form is None:
-            return linalg.eig_general(self.p)
-        return linalg.eig_symmetrized(self.p, *form)
+        return _eigh_route(self) or linalg.eig_general(self.p)
+
+    @cached_property
+    def _row_view(self) -> tuple | None:
+        """row_view(P) if P has at most n^2 / ROW_VIEW_DENSITY nonzeros, else
+        None.  np.count_nonzero allocates nothing, so a dense P builds no
+        n^2-sized temporaries here."""
+        if np.count_nonzero(self.p) * ROW_VIEW_DENSITY > self.p.size:
+            return None
+        return row_view(self.p)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P x for a vector x of length n, admitted as linalg.as_vector
+        admits it: a real x gives float64, a complex x complex128."""
+        if x.shape != (self.n,):
+            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
+        view = self._row_view
+        if view is None:
+            return self.p @ x
+        starts, cols, values = view
+        return np.add.reduceat(values * x[cols], starts)
+
+
+def row_view(p: np.ndarray) -> tuple:
+    """(starts, cols, values) of the square matrix p: its stored entries in
+    row-major order, and the offset of each row's first one, so that
+    np.add.reduceat(values * x[cols], starts) is p @ x.  A row of zeros
+    stores one 0 at column 0, because reduceat needs an entry in every row."""
+    stored = p != 0
+    stored[~stored.any(axis=1), 0] = True
+    rows, cols = np.nonzero(stored)
+    return np.searchsorted(rows, np.arange(p.shape[0])), cols, p[rows, cols]
 
 
 @dataclass(frozen=True)
@@ -80,12 +127,28 @@ def _solved_stationary(p: np.ndarray) -> StationaryDistribution | None:
     return StationaryDistribution(pi=pi)
 
 
+def _eigh_route(op: TransitionOperator) -> linalg.EigenDecomposition | None:
+    """eig_symmetrized's decomposition of P if op qualifies for the eigh
+    route (_symmetric_form) and its residual against P is at most
+    EIGH_RESIDUAL_FACTOR * n * eps * max(1, ||P||_F), else None.  The
+    residual is the one eig_symmetrized computes, so a clean chain pays
+    nothing; a chain that is reversible only to within REVERSIBILITY_TOL
+    would otherwise carry S's asymmetry into its eigenpairs."""
+    form = _symmetric_form(op)
+    if form is None:
+        return None
+    dec = linalg.eig_symmetrized(op.p, *form)
+    bound = EIGH_RESIDUAL_FACTOR * op.n * np.finfo(float).eps * max(1.0, np.linalg.norm(op.p))
+    return dec if dec.residual <= bound else None
+
+
 def _symmetric_form(op: TransitionOperator) -> tuple | None:
     """(S, sqrt(pi)) if op qualifies for the eigh route, else None.
 
     It qualifies when the candidate pi of _solved_stationary is positive and
     S = symmetrize(op, pi) passes is_reversible's test.  A function of its
-    own, so that its n x n temporaries are freed before eig_general runs.
+    own (as is _eigh_route), so that its n x n temporaries are freed before
+    eig_general runs.
     """
     dist = _solved_stationary(op.p)
     if dist is None:

@@ -232,6 +232,9 @@ BAD_INPUTS = [
                  "--t must be <= MAX_DIFFUSE_STEPS=10000, got 10001", id="t-over-cap"),
     pytest.param(["indices", "--graph", "file", "--input", "{tmp}/header.edges"], None,
                  "header.edges:3: node index 7 >= node count 5", id="index-past-header"),
+    pytest.param(["indices", "--graph", "file", "--input", "{tmp}/sum.edges"], None,
+                 "sum.edges:2: summed weight of edge 0 -> 1 is not finite",
+                 id="summed-weight-overflow"),
     *[pytest.param(["filter", "{tmp}/x.sig", "--graph", "directed-cycle", "--n", "3",
                     "--tau", tau], None, "heat filter needs a finite tau >= 0",
                    id=f"tau-{tau}") for tau in ("-1", "nan", "inf")],
@@ -268,6 +271,7 @@ BAD_FILES = {
     "nan.sig": "1.0\nnan 0.0\n",
     "inf.sig": "1.0\n0.0 -inf\n",
     "header.edges": "# nodes 5\n0 1\n7 0\n",
+    "sum.edges": "0 1 1e308\n0 1 1e308\n1 0 1\n",
     "x.sig": "1.0\n0.0\n0.0\n",
     "neg.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 -1.0\n3 1 1.0\n",
     "nan.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 nan\n3 1 1.0\n",

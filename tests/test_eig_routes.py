@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import bgft
-from bgft import linalg
+from bgft import linalg, markov
 from bgft.errors import DefectiveMatrixError, NotIrreducibleError
 
 from conftest import random_digraph, random_reversible_graph
@@ -133,6 +133,21 @@ class TestAgreementWithEigGeneral:
         assert op.eig.solver == "eigh"
         assert op.eig.residual <= linalg.DEFECTIVE_TOL * max(1.0, np.linalg.norm(op.p))
         assert np.all(np.array(relative_differences(op)) <= AGREE_TOL)
+
+    def test_eigh_residual_above_roundoff_goes_to_geev(self):
+        # Edge weights off by 1e-10 still pass the symmetry test, but S's
+        # asymmetry puts eigh's eigenpairs 1e-11 off P's.
+        a = random_reversible_graph(64, 3).adjacency.copy()
+        edges = a != 0
+        a[edges] += 1e-10 * np.random.default_rng(0).random(np.count_nonzero(edges))
+        op = bgft.transition(bgft.DirectedGraph(a))
+        form = markov._symmetric_form(op)
+        assert form is not None
+        unit = 64 * np.finfo(float).eps * max(1.0, np.linalg.norm(op.p))
+        assert linalg.eig_symmetrized(op.p, *form).residual > 100 * unit
+        assert op.eig.solver == "geev"
+        assert op.eig.residual <= unit
+        assert np.all(np.array(relative_differences(op)) == 0)
 
     def test_energy_sandwich_collapses(self):
         op = bgft.transition(random_reversible_graph(32, 6))

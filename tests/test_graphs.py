@@ -223,6 +223,16 @@ class TestFileIO:
         with pytest.raises(EdgeListParseError):
             bgft.load_edge_list(path)
 
+    @pytest.mark.parametrize("header", ["# nodes 2\n", ""], ids=["bulk", "line-by-line"])
+    def test_summed_weight_overflow(self, tmp_path, header):
+        # Each weight is finite; their sum is not.
+        path = tmp_path / "sum.edges"
+        path.write_text(header + "0 1 1e308\n0 1 1e308\n1 0 1\n")
+        line = 3 if header else 2
+        with pytest.raises(EdgeListParseError, match=f"sum.edges:{line}: summed weight "
+                                                     "of edge 0 -> 1 is not finite"):
+            bgft.load_graph(path)
+
 
 def _field(k, value):
     return lambda tokens: " ".join(tokens[:k] + [value] + tokens[k + 1:])
@@ -376,6 +386,16 @@ class TestMatrixMarket:
         with pytest.raises(EdgeListParseError, match="bad.mtx:0: ") as exc:
             bgft.load_graph(path)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("symmetry,body", [
+        ("general", "1 2 1e308\n1 2 1e308\n2 1 1\n"),
+        ("symmetric", "2 1 1e308\n1 2 1e308\n2 2 1\n"),  # 1 2 adds to the mirror of 2 1
+    ], ids=["general", "symmetric"])
+    def test_summed_weight_overflow(self, tmp_path, symmetry, body):
+        path = tmp_path / "sum.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 3\n{body}")
+        with pytest.raises(EdgeListParseError, match="sum.mtx:0: a summed weight is not finite"):
+            bgft.load_graph(path)
 
     def test_node_cap_before_allocation(self, tmp_path):
         # 5000 x 5000 would be 200 MB.

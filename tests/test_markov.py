@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,6 +41,108 @@ class TestTransition:
             assert np.linalg.norm(op.p @ ones - ones) <= 1e-12 * np.sqrt(op.n)
             assert np.linalg.norm(op.l_rw @ ones) <= 1e-12 * np.sqrt(op.n)
             assert np.all(op.p.real >= 0)
+
+
+def sparse_operator(n, per_row, seed):
+    """Row-stochastic P with per_row nonzeros in each row, at random places."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, rng.choice(n, size=per_row, replace=False)] = rng.random(per_row) + 0.1
+    return markov.TransitionOperator(p=a / a.sum(axis=1)[:, None])
+
+
+def with_row_view(p):
+    """An operator on p whose apply takes the row view, whatever p's density."""
+    op = markov.TransitionOperator(p=p)
+    op.__dict__["_row_view"] = markov.row_view(p)
+    return op
+
+
+CYCLES = {
+    "directed": lambda n: bgft.directed_cycle(n),
+    "undirected": lambda n: bgft.undirected_cycle(n),
+    "perturbed": lambda n: bgft.add_directed_chord(bgft.directed_cycle(n), 20, 0, n // 2),
+}
+
+
+class TestApply:
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("kind", sorted(CYCLES))
+    def test_cycles_bit_identical_to_dense(self, kind, n):
+        op = bgft.transition(CYCLES[kind](n))
+        assert op._row_view is not None
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            assert np.array_equal(op.apply(x), op.p @ x)
+            want = x
+            for _ in range(30):
+                want = op.p @ want
+            assert np.array_equal(bgft.diffuse_direct(op, x, 30), want)
+
+    @pytest.mark.parametrize("per_row", [3, 8, 16])
+    def test_random_sparse_agrees_with_dense(self, per_row):
+        for seed in range(4):
+            op = sparse_operator(96, per_row, seed)
+            view = with_row_view(op.p)
+            x = np.random.default_rng(seed).standard_normal(96)
+            tol = 1e-14 * np.linalg.norm(x)
+            assert np.linalg.norm(view.apply(x) - op.p @ x) <= tol
+            want = x
+            for _ in range(10):
+                want = op.p @ want
+            assert np.linalg.norm(bgft.diffuse_direct(view, x, 10) - want) <= tol
+
+    @pytest.mark.parametrize("zero_rows", [[0], [31], [63], [0, 1, 63], list(range(64))])
+    def test_zero_and_self_loop_rows(self, zero_rows):
+        # np.add.reduceat gives x[start] for an empty segment, and refuses a
+        # start past the data; a row of zeros must still give 0.
+        p = bgft.transition(bgft.directed_cycle(64)).p.copy()
+        p[10] = 0.0
+        p[10, 10] = 1.0  # a self-loop only
+        p[zero_rows] = 0.0
+        op = markov.TransitionOperator(p=p)
+        assert op._row_view is not None
+        x = np.random.default_rng(9).standard_normal(64)
+        for z in (x, x + 1j * x[::-1]):
+            y = op.apply(z)
+            assert np.array_equal(y, p @ z)
+            assert np.all(y[zero_rows] == 0)
+
+    def test_dtype_follows_x(self):
+        op = bgft.transition(CYCLES["perturbed"](512))
+        x = np.random.default_rng(3).standard_normal(512)
+        assert op.apply(x).dtype == np.float64
+        assert op.apply(x + 0j).dtype == np.complex128
+        assert np.array_equal(op.apply(x + 0j).real, op.apply(x))
+
+    def test_density_rule_picks_the_path(self):
+        n = 64  # n^2 / ROW_VIEW_DENSITY = 128 nonzeros
+        p = np.zeros((n, n))
+        p.flat[:n * n // markov.ROW_VIEW_DENSITY] = 1.0
+        assert markov.TransitionOperator(p=p)._row_view is not None
+        p.flat[n * n // markov.ROW_VIEW_DENSITY] = 1.0
+        assert markov.TransitionOperator(p=p)._row_view is None
+
+    def test_dense_operator_builds_no_index_arrays(self):
+        n = 256
+        op = bgft.transition(random_digraph(n, 4))
+        x = np.random.default_rng(4).standard_normal(n)
+        tracemalloc.start()
+        try:
+            y = op.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op._row_view is None
+        assert np.array_equal(y, op.p @ x)
+        assert peak < 0.1 * n * n
+
+    def test_length_checked(self):
+        op = bgft.transition(CYCLES["perturbed"](64))
+        for x in (np.ones(63), np.ones(65), np.ones((64, 1))):
+            with pytest.raises(ValueError, match="expected vector of length 64"):
+                op.apply(x)
 
 
 class TestIndices:

@@ -52,6 +52,11 @@ BAD_FILES = {
     "bulk-comment.edges": "# nodes 3\n0 1 1.0 # c\n1 2 1.0\n2 0 1.0\n",
     "bulk-header.edges": "# nodes 3\n" + "0 1 1.0\n1 2 1.0\n2 0 1.0\n" * 367
                          + "# nodes 2\n",
+    # Finite weights of one repeated edge whose sum overflows.
+    "sum.edges": "0 1 1e308\n0 1 1e308\n1 0 1\n",
+    "bulk-sum.edges": "# nodes 2\n0 1 1e308\n0 1 1e308\n1 0 1\n",
+    "sum.mtx": "%%MatrixMarket matrix coordinate real general\n2 2 3\n"
+               "1 2 1e308\n1 2 1e308\n2 1 1\n",
     "text.mtx": "not a Matrix Market file\n",
     "wide.mtx": "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1.0\n",
     "neg.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 3\n"
