@@ -40,7 +40,8 @@ class TransitionOperator:
     (at most n^2 / ROW_VIEW_DENSITY nonzeros) is applied through a row view
     of its nonzeros, built with numpy on first use and cached, so iterated
     diffusion costs O(t nnz); a denser P takes the dense matvec and never
-    builds the view.  The two agree up to summation order.
+    builds the view, and never casts P to complex: a complex x is applied
+    as P Re(x) + i P Im(x).  The paths agree up to summation order.
 
     eig is the one eigendecomposition of P, computed on first use and shared
     by the biorthogonal basis (transform.decompose) and the stationary
@@ -82,6 +83,8 @@ class TransitionOperator:
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
         view = self._row_view
         if view is None:
+            if np.iscomplexobj(x):  # p @ x would cast all of P to complex
+                return self.p @ x.real + 1j * (self.p @ x.imag)
             return self.p @ x
         starts, cols, values = view
         return np.add.reduceat(values * x[cols], starts)

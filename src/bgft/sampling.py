@@ -182,10 +182,22 @@ def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:
     return SamplingSet(nodes=tuple(rng.choice(n, size=m, replace=False)))
 
 
-def _sigma_min_sq_bounds(v_o: np.ndarray, rows) -> np.ndarray:
+# Most complex entries in the (bases, n, K) temporary of one step of a stacked
+# _sigma_min_sq_bounds call; a larger stack is bounded in chunks of bases.
+BOUND_CHUNK_ENTRIES = 1 << 18
+
+
+def _sigma_min_sq_bounds(v_o: np.ndarray, rows, sq=None) -> np.ndarray:
     """Per node c, an upper bound on sigma_min(v_o[rows + [c]])**2, from one
     eigendecomposition of the base B = v_o[rows] (Golub's rank-one modified
     eigenproblem).  The value is meaningless for c in rows.
+
+    rows is one base (a sequence of node indices; the result has shape (n,))
+    or a (bases, s) array of bases of s nodes each (the result has one row
+    per base).  A stack is bounded in chunks of at most
+    BOUND_CHUNK_ENTRIES // (n K) bases, one stacked eigh per chunk, so its
+    temporaries do not grow with the number of bases.  sq is the per-node
+    |v|**2 of v_o, computed here when not given.
 
     With |rows| >= K, G = B*B = Q diag(lam) Q* and z = |v_o Q|**2: the smallest
     eigenvalue of G + v*v is the root in [lam_1, lam_2] of the secular
@@ -199,23 +211,36 @@ def _sigma_min_sq_bounds(v_o: np.ndarray, rows) -> np.ndarray:
     eigendecomposition or of an SVD of the extended matrix, is added to the
     bound and to every denominator; both only raise the bound.
     """
-    sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
-    if len(rows) == 0:
-        return sq + 1e-9 * sq.max()
-    b = v_o[list(rows)]
-    if len(rows) >= v_o.shape[1]:
-        lam, q = np.linalg.eigh(b.conj().T @ b)
-        margin = 1e-9 * (lam[-1] + sq.max())
-        z = np.abs(v_o @ q) ** 2
-        bound = lam[0] + z[:, 0] / (1 + z[:, 1:] @ (1 / (lam[1:] - lam[0] + margin)))
-        if len(lam) > 1:
-            bound = np.minimum(bound, lam[1])
-    else:
-        lam, w = np.linalg.eigh(b @ b.conj().T)
-        margin = 1e-9 * (lam[-1] + sq.max())
-        y = np.abs(v_o @ b.conj().T @ w) ** 2
-        bound = np.minimum(np.maximum(sq - y @ (1 / (lam + margin)), 0.0), lam[0])
-    return bound + margin
+    if sq is None:
+        sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim == 1:
+        return _sigma_min_sq_bounds(v_o, rows[None], sq)[0]
+    n, k = v_o.shape
+    out = np.empty((len(rows), n))
+    if rows.shape[1] == 0:
+        out[:] = sq + 1e-9 * sq.max()
+        return out
+    step = max(1, BOUND_CHUNK_ENTRIES // (n * k))
+    for lo in range(0, len(rows), step):
+        b = v_o[rows[lo:lo + step]]
+        bh = b.conj().transpose(0, 2, 1)
+        if rows.shape[1] >= k:
+            lam, q = np.linalg.eigh(bh @ b)
+            margin = 1e-9 * (lam[:, -1:] + sq.max())
+            z = np.abs(v_o @ q) ** 2
+            inv = 1 / (lam[:, 1:] - lam[:, :1] + margin)
+            bound = lam[:, :1] + z[:, :, 0] / (1 + (z[:, :, 1:] @ inv[:, :, None])[:, :, 0])
+            if k > 1:
+                bound = np.minimum(bound, lam[:, 1:2])
+        else:
+            lam, w = np.linalg.eigh(b @ bh)
+            margin = 1e-9 * (lam[:, -1:] + sq.max())
+            y = np.abs(v_o @ (bh @ w)) ** 2
+            inv = 1 / (lam + margin)
+            bound = np.minimum(np.maximum(sq - (y @ inv[:, :, None])[:, :, 0], 0.0), lam[:, :1])
+        out[lo:lo + step] = bound + margin
+    return out
 
 
 def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> SamplingSet:
@@ -228,10 +253,16 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
 
     The restarts keep reaching the same sets, so sigma_min is memoized per
     node set (keyed by its bitmask, computed on its sorted rows, so the value
-    depends only on the set).  The unscored candidates of one growth step, or
-    of one exchange scan from a given candidate on, share one stacked SVD.
+    depends only on the set).  The n restarts advance in lockstep: each run is
+    a generator whose scans ask for the bounds of a base or for sigma_min of
+    some node sets instead of computing them.  Each round, every live run
+    states its next request, and the requests are served together: each base
+    and each node set not yet memoized once, with one stacked bound call per
+    base size and one stacked SVD per set size.  A run sees only memoized
+    values that depend on nothing but their set, so it makes the decisions it
+    would make alone, and the runs are compared in order of first node.
 
-    Before that SVD, candidates are screened by _sigma_min_sq_bounds of the
+    Before the SVD, candidates are screened by _sigma_min_sq_bounds of the
     base the scan extends (memoized per base), a certified upper bound on each
     candidate's sigma_min**2 with a margin of 1e-9 * (lam_max + max |v|**2)
     above roundoff.  A growth step first scores the candidate with the largest
@@ -246,50 +277,74 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     n = basis.n
     m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
     v_o = band_vectors(basis, omega)
+    sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
     sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
     bounds = {}  # base bitmask -> _sigma_min_sq_bounds of the base, per node
+    get, screened = sigma.get, -np.inf  # hoisted out of the per-candidate loop
 
-    def decompose(chosen, cands, pos, keys):
-        """Memoize sigma_min of chosen with each of cands appended (pos None)
-        or put in place of chosen[pos], from one stacked SVD."""
-        sets = np.empty((len(cands), len(chosen) + (pos is None)), dtype=np.intp)
-        sets[:, :len(chosen)] = chosen
-        sets[:, len(chosen) if pos is None else pos] = cands
-        sets.sort(axis=1)
-        sv = np.linalg.svd(v_o[sets], compute_uv=False)[:, -1]
-        sigma.update(zip(keys, sv.tolist()))
+    def sets(chosen, cands, pos):
+        """The sorted node sets of chosen with each of cands appended (pos
+        None) or put in place of chosen[pos], one per row."""
+        out = np.empty((len(cands), len(chosen) + (pos is None)), dtype=np.intp)
+        out[:, :len(chosen)] = chosen
+        out[:, len(chosen) if pos is None else pos] = cands
+        out.sort(axis=1)
+        return out
 
     def scan(chosen, mask, cands, pos=None, floor=None):
-        """sigma_min of chosen with each candidate appended (pos None) or put
-        in place of chosen[pos]; -inf for a candidate screened out because
-        its bound is at most floor (a squared sigma_min).  A growth step
-        passes no floor and gets the largest exact value after the
-        candidate with the largest bound is scored."""
+        """Generator returning sigma_min of chosen with each candidate
+        appended (pos None) or put in place of chosen[pos]; -inf for a
+        candidate screened out because its bound is at most floor (a squared
+        sigma_min).  A growth step passes no floor and gets the largest exact
+        value after the candidate with the largest bound is scored.  It
+        yields ("bound", base, rows) and ("sigma", keys, sets) requests,
+        which serve answers in bounds and sigma before it resumes."""
         base = mask if pos is None else mask & ~(1 << chosen[pos])
         keys = [base | 1 << c for c in cands]
         new = [i for i, key in enumerate(keys) if key not in sigma]
         if len(new) > 2:
             if base not in bounds:
-                rows = chosen if pos is None else chosen[:pos] + chosen[pos + 1:]
-                bounds[base] = _sigma_min_sq_bounds(v_o, rows)
+                yield "bound", base, chosen if pos is None else chosen[:pos] + chosen[pos + 1:]
             bound = bounds[base][[cands[i] for i in new]]
             if floor is None:
                 top = new[int(np.argmax(bound))]
-                decompose(chosen, [cands[top]], pos, [keys[top]])
+                yield "sigma", [keys[top]], sets(chosen, [cands[top]], pos)
                 floor = max(sigma[key] for key in keys if key in sigma) ** 2
             new = [i for i, b in zip(new, bound.tolist()) if b > floor and keys[i] not in sigma]
         if new:
-            decompose(chosen, [cands[i] for i in new], pos, [keys[i] for i in new])
-        return [sigma.get(key, -np.inf) for key in keys]
+            yield "sigma", [keys[i] for i in new], sets(chosen, [cands[i] for i in new], pos)
+        return [get(key, screened) for key in keys]
+
+    def serve(requests):
+        """Answer one round of requests: each base and node set not yet
+        memoized once, one stacked call per base size and per set size."""
+        bases, svd = {}, {}  # size -> {base: rows}, size -> (keys, set arrays)
+        claimed = set()
+        for kind, keys, rows in requests:
+            if kind == "bound":  # keys is the one base's bitmask
+                if keys not in bounds:
+                    bases.setdefault(len(rows), {})[keys] = rows
+                continue
+            take = [i for i, key in enumerate(keys) if key not in sigma and key not in claimed]
+            if take:  # a group of only memoized sets would stack no matrix
+                claimed.update(keys[i] for i in take)
+                group, parts = svd.setdefault(rows.shape[1], ([], []))
+                group += [keys[i] for i in take]
+                parts.append(rows if len(take) == len(keys) else rows[take])
+        for group in bases.values():
+            bounds.update(zip(group, _sigma_min_sq_bounds(v_o, list(group.values()), sq)))
+        for group, parts in svd.values():
+            sv = np.linalg.svd(v_o[np.concatenate(parts)], compute_uv=False)[:, -1]
+            sigma.update(zip(group, sv.tolist()))
 
     def one_run(start):
         chosen, mask = [start], 1 << start
         remaining = [i for i in range(n) if i != start]
         if m == 1:  # no growth step scores the one-node set
-            scan([], 0, chosen)
+            yield from scan([], 0, chosen)
         for _ in range(m - 1):
             best_i, best_sigma = 0, -1.0
-            for i, s in enumerate(scan(chosen, mask, remaining)):
+            for i, s in enumerate((yield from scan(chosen, mask, remaining))):
                 if s > best_sigma + 1e-15:
                     best_i, best_sigma = i, s
             chosen.append(remaining.pop(best_i))
@@ -301,7 +356,8 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
             for pos in range(m):
                 j = 0
                 while j < len(remaining):
-                    trial = scan(chosen, mask, remaining[j:], pos, (current + 1e-12) ** 2)
+                    trial = yield from scan(chosen, mask, remaining[j:], pos,
+                                            (current + 1e-12) ** 2)
                     hit = next((i for i, s in enumerate(trial) if s > current + 1e-12), None)
                     if hit is None:
                         break
@@ -317,9 +373,20 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
                     j += 1
         return chosen, sigma[mask]
 
+    # Rounds: every live run makes its next request, then all are served.
+    runs, results = {start: one_run(start) for start in range(n)}, [None] * n
+    while runs:
+        requests = []
+        for start, run in list(runs.items()):
+            try:
+                requests.append(run.send(None))
+            except StopIteration as done:
+                results[start] = done.value
+                del runs[start]
+        serve(requests)
+
     best_set, best_val = None, -1.0
-    for start in range(n):
-        chosen, val = one_run(start)
+    for chosen, val in results:
         if val > best_val + 1e-15:
             best_set, best_val = chosen, val
     return SamplingSet(nodes=tuple(best_set))

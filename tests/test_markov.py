@@ -138,6 +138,23 @@ class TestApply:
         assert np.array_equal(y, op.p @ x)
         assert peak < 0.1 * n * n
 
+    def test_complex_x_on_dense_operator_casts_no_matrix(self):
+        # p @ x with a complex x would make a complex128 copy of P, n^2 * 16 bytes.
+        n = 512
+        op = bgft.transition(random_digraph(n, 1))
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            y = op.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op._row_view is None
+        assert peak < n * n * 8
+        assert y.dtype == np.complex128
+        assert np.linalg.norm(y - op.p @ x) <= 1e-14 * np.linalg.norm(x)
+
     def test_length_checked(self):
         op = bgft.transition(CYCLES["perturbed"](64))
         for x in (np.ones(63), np.ones(65), np.ones((64, 1))):

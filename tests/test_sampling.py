@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -555,3 +557,62 @@ class TestScreenedSearch:
         assert bgft.greedy_sampling_set(basis, omega, m).nodes == want
         if (n, k, m) == (32, 8, 16):
             assert matrices[1] <= matrices[0] / 2
+
+    @pytest.mark.parametrize("v_o", bound_cases())
+    def test_stacked_bound_matches_one_base(self, v_o, monkeypatch):
+        # Chunks of 3 bases, so a stack of 4 takes the chunked path.
+        monkeypatch.setattr("bgft.sampling.BOUND_CHUNK_ENTRIES", 3 * v_o.size)
+        n = v_o.shape[0]
+        rng = np.random.default_rng(n + 1)
+        scale = np.max(np.sum(np.abs(v_o) ** 2, axis=1))
+        for size in range(n):
+            bases = np.array([rng.choice(n, size, replace=False) for _ in range(4)],
+                             dtype=np.intp).reshape(4, size)
+            stacked = _sigma_min_sq_bounds(v_o, bases)
+            assert stacked.shape == (4, n)
+            for base, row in zip(bases.tolist(), stacked):
+                assert_allclose(row, _sigma_min_sq_bounds(v_o, base), rtol=1e-12,
+                                atol=1e-12 * scale)
+                for c in sorted(set(range(n)) - set(base)):
+                    exact = np.linalg.svd(v_o[sorted(base + [c])], compute_uv=False)[-1]
+                    assert row[c] >= exact ** 2, (size, base, c)
+
+    def test_stacked_bound_memory_is_chunked(self):
+        # Unchunked, 1024 bases at n=256, K=16 would make (1024, 256, 16)
+        # complex temporaries, 67 MB each; chunked, the peak beyond the
+        # (bases, n) result does not grow with the number of bases.
+        n, k = 256, 16
+        rng = np.random.default_rng(7)
+        v_o = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        for size in (8, 20):  # below and above K
+            for count in (64, 1024):
+                bases = np.array([rng.choice(n, size, replace=False) for _ in range(count)])
+                tracemalloc.start()
+                try:
+                    out = _sigma_min_sq_bounds(v_o, bases)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - out.nbytes < 16e6, (size, count, peak)
+
+    @pytest.mark.parametrize("kind", ["perturbed", "random", "reversible"])
+    def test_restarts_share_stacked_calls(self, kind, monkeypatch):
+        basis = bgft.decompose(bgft.transition(screen_graph(kind, 32)))
+        omega = bgft.select_band(basis, 8)
+        counts = {}  # name -> [calls, matrices]
+
+        def counting(name):
+            fn, count = getattr(np.linalg, name), counts.setdefault(name, [0, 0])
+
+            def wrapper(a, *args, **kwargs):
+                a = np.asarray(a)
+                count[0] += 1
+                count[1] += a.reshape(-1, *a.shape[-2:]).shape[0]
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        bgft.greedy_sampling_set(basis, omega, 16)
+        for name, (calls, matrices) in counts.items():
+            assert 0 < calls <= matrices / 4, (name, calls, matrices)

@@ -325,12 +325,14 @@ def _energy_reference(basis, dist, x):
     xhat = xhat * scale
     sw = np.linalg.svd(w, compute_uv=False)
     mode_sum = float(np.sum(np.abs(1.0 - basis.eigenvalues) ** 2 * np.abs(xhat) ** 2))
+    p = basis.operator.p  # a complex P x as two real products, as apply forms it
+    px = p @ x if np.isrealobj(x) else p @ x.real + 1j * (p @ x.imag)
     return bgft.EnergyReport(
         pi_energy=float(np.sum(pi * np.abs(x) ** 2)),
         gram_energy=float(np.sum(np.abs(w @ xhat) ** 2)),
         sigma_w_min=float(sw[-1]),
         sigma_w_max=float(sw[0]),
-        tv_pi=float(np.sum(pi * np.abs(x - basis.operator.p @ x) ** 2)),
+        tv_pi=float(np.sum(pi * np.abs(x - px) ** 2)),
         tv_lower=float(sw[-1] ** 2) * mode_sum,
         tv_upper=float(sw[0] ** 2) * mode_sum,
     )

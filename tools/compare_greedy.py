@@ -5,9 +5,12 @@
 Each SRC is a directory holding the bgft package (a checkout's src/).  For
 each seed, a child process per tree builds the seed's `sampling-design`
 problems with bench/workloads.SamplingDesign (imported, not changed; 72 per
-seed) on that tree's bgft and runs greedy_sampling_set on each.  The script
-prints every problem whose node set differs, then each tree's total seconds
-in greedy_sampling_set, and exits 1 on any difference.
+seed) on that tree's bgft and runs greedy_sampling_set on each, counting the
+calls to np.linalg.svd and np.linalg.eigh it makes and the matrices they
+decompose (a stack of B matrices counts B).  The script prints every problem
+whose node set differs, then each tree's total seconds in
+greedy_sampling_set and its call and matrix totals, and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -21,22 +24,36 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# Run in the child: the node set of every problem, and the total seconds.
+# Run in the child: the node set of every problem, the total seconds, and the
+# svd/eigh calls and matrices of the searches.
 CHILD = """
 import json, sys, tempfile, time
 from pathlib import Path
+import numpy as np
 import workloads
 from bgft import sampling
 
 with tempfile.TemporaryDirectory() as tmp:
     wl = workloads.SamplingDesign(int(sys.argv[1]), Path(tmp))
+counts = {}
+
+def counted(name):
+    fn = getattr(np.linalg, name)
+    def wrapper(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls, matrices = counts.get(name, (0, 0))
+        counts[name] = (calls + 1, matrices + a.reshape(-1, *a.shape[-2:]).shape[0])
+        return fn(a, *args, **kwargs)
+    return wrapper
+
+np.linalg.svd, np.linalg.eigh = counted("svd"), counted("eigh")
 sets, seconds = [], 0.0
 for item in wl.items:
     t0 = time.perf_counter()
     m_set = sampling.greedy_sampling_set(item["basis"], item["omega"], item["m"])
     seconds += time.perf_counter() - t0
     sets.append([item["kind"], item["k"], item["m"], list(m_set.nodes)])
-print(json.dumps(dict(sets=sets, seconds=seconds)))
+print(json.dumps(dict(sets=sets, seconds=seconds, counts=counts)))
 """
 
 
@@ -57,10 +74,14 @@ def main(argv) -> int:
     old, new = args.old.resolve(), args.new.resolve()
     total = differ = 0
     seconds = {"old": 0.0, "new": 0.0}
+    counts = {tree: {name: [0, 0] for name in ("svd", "eigh")} for tree in seconds}
     for seed in args.seeds:
         a, b = run(old, seed), run(new, seed)
-        seconds["old"] += a["seconds"]
-        seconds["new"] += b["seconds"]
+        for tree, res in (("old", a), ("new", b)):
+            seconds[tree] += res["seconds"]
+            for name, (calls, matrices) in res["counts"].items():
+                counts[tree][name][0] += calls
+                counts[tree][name][1] += matrices
         for i, (x, y) in enumerate(zip(a["sets"], b["sets"])):
             total += 1
             if x != y:
@@ -69,7 +90,11 @@ def main(argv) -> int:
                 print(f"differs: seed {seed} problem {i} ({kind}, K={k}, m={m}): "
                       f"{x[3]} -> {y[3]}")
     print(f"{differ} of {total} problems differ")
-    print(f"greedy_sampling_set seconds: old {seconds['old']:.2f}, new {seconds['new']:.2f}")
+    for tree in ("old", "new"):
+        svd, eigh = counts[tree]["svd"], counts[tree]["eigh"]
+        print(f"{tree}: {seconds[tree]:.2f} s in greedy_sampling_set, "
+              f"svd {svd[0]} calls on {svd[1]} matrices, "
+              f"eigh {eigh[0]} calls on {eigh[1]} matrices")
     return 1 if differ else 0
 
 
