@@ -42,7 +42,8 @@ SEED_NOISE = 2
 
 
 def read_signal(path) -> np.ndarray:
-    """One complex value per line as `re im`; bare reals get im = 0.
+    """One complex value per line as `re im`; bare reals get im = 0.  The
+    array is float64 when every imaginary part is zero, else complex128.
 
     No graph has more than graphs.MAX_NODES nodes, so reading stops with an
     error at the first value past that many."""
@@ -71,7 +72,8 @@ def read_signal(path) -> np.ndarray:
                 raise BgftError(f"{path}:{lineno}: more than MAX_NODES={graphs.MAX_NODES} values")
     if not values:
         raise BgftError(f"{path}: empty signal file")
-    return np.array(values)
+    x = np.array(values)
+    return x.real.copy() if not x.imag.any() else x
 
 
 def write_signal(x, stream) -> None:

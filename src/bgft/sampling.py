@@ -262,17 +262,20 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     values that depend on nothing but their set, so it makes the decisions it
     would make alone, and the runs are compared in order of first node.
 
-    Before the SVD, candidates are screened by _sigma_min_sq_bounds of the
-    base the scan extends (memoized per base), a certified upper bound on each
-    candidate's sigma_min**2 with a margin of 1e-9 * (lam_max + max |v|**2)
-    above roundoff.  A growth step first scores the candidate with the largest
-    bound and drops every candidate whose bound is at most the largest exact
-    sigma_min**2 known; such a candidate lies far more than the 1e-15 tie
-    tolerance below the maximum, so it can neither win nor, by entering the
-    sequential tie rule first, block the winner.  An exchange scan drops every
-    candidate whose bound is at most (current + 1e-12)**2, which cannot be an
-    improvement.  Exact values still come only from the SVD, so every
-    decision, and the returned set, is the one the unscreened search makes.
+    Each scan screens its candidates before it looks at the memo: one row of
+    _sigma_min_sq_bounds of the base the scan extends (memoized per base)
+    gives a certified upper bound on every candidate's sigma_min**2, with a
+    margin of 1e-9 * (lam_max + max |v|**2) above roundoff.  A growth step
+    first scores the first candidate with the largest bound and uses its
+    sigma_min**2 as the floor; an exchange scan's floor is
+    (current + 1e-12)**2.  Only the candidates whose bound exceeds the floor
+    are keyed, looked up in the memo and, if new, sent to the SVD; the rest
+    are skipped, memoized or not.  A skipped growth candidate lies far more
+    than the 1e-15 tie tolerance below the scored one, so it can neither win
+    nor, by entering the sequential tie rule first, block the winner; a
+    skipped exchange candidate cannot be an improvement.  Exact values still
+    come only from the SVD, so every decision, and the returned set, is the
+    one the unscreened search makes.
     """
     n = basis.n
     m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
@@ -280,7 +283,6 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
     sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
     bounds = {}  # base bitmask -> _sigma_min_sq_bounds of the base, per node
-    get, screened = sigma.get, -np.inf  # hoisted out of the per-candidate loop
 
     def sets(chosen, cands, pos):
         """The sorted node sets of chosen with each of cands appended (pos
@@ -292,28 +294,28 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
         return out
 
     def scan(chosen, mask, cands, pos=None, floor=None):
-        """Generator returning sigma_min of chosen with each candidate
-        appended (pos None) or put in place of chosen[pos]; -inf for a
-        candidate screened out because its bound is at most floor (a squared
-        sigma_min).  A growth step passes no floor and gets the largest exact
-        value after the candidate with the largest bound is scored.  It
+        """Generator returning (live, values): the ascending positions in
+        cands of the candidates whose bound on sigma_min**2 exceeds floor,
+        and sigma_min of chosen with each of them appended (pos None) or put
+        in place of chosen[pos].  A growth step passes no floor; its floor is
+        sigma_min**2 of the first candidate with the largest bound.  It
         yields ("bound", base, rows) and ("sigma", keys, sets) requests,
         which serve answers in bounds and sigma before it resumes."""
         base = mask if pos is None else mask & ~(1 << chosen[pos])
-        keys = [base | 1 << c for c in cands]
-        new = [i for i, key in enumerate(keys) if key not in sigma]
-        if len(new) > 2:
-            if base not in bounds:
-                yield "bound", base, chosen if pos is None else chosen[:pos] + chosen[pos + 1:]
-            bound = bounds[base][[cands[i] for i in new]]
-            if floor is None:
-                top = new[int(np.argmax(bound))]
-                yield "sigma", [keys[top]], sets(chosen, [cands[top]], pos)
-                floor = max(sigma[key] for key in keys if key in sigma) ** 2
-            new = [i for i, b in zip(new, bound.tolist()) if b > floor and keys[i] not in sigma]
+        if base not in bounds:
+            yield "bound", base, chosen if pos is None else chosen[:pos] + chosen[pos + 1:]
+        row = bounds[base].tolist()
+        if floor is None:
+            top = max(cands, key=row.__getitem__)  # the first of equal bounds
+            if base | 1 << top not in sigma:
+                yield "sigma", [base | 1 << top], sets(chosen, [top], pos)
+            floor = sigma[base | 1 << top] ** 2
+        live = [i for i, c in enumerate(cands) if row[c] > floor]
+        keys = [base | 1 << cands[i] for i in live]
+        new = [t for t, key in enumerate(keys) if key not in sigma]
         if new:
-            yield "sigma", [keys[i] for i in new], sets(chosen, [cands[i] for i in new], pos)
-        return [get(key, screened) for key in keys]
+            yield "sigma", [keys[t] for t in new], sets(chosen, [cands[live[t]] for t in new], pos)
+        return live, [sigma[key] for key in keys]
 
     def serve(requests):
         """Answer one round of requests: each base and node set not yet
@@ -344,7 +346,7 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
             yield from scan([], 0, chosen)
         for _ in range(m - 1):
             best_i, best_sigma = 0, -1.0
-            for i, s in enumerate((yield from scan(chosen, mask, remaining))):
+            for i, s in zip(*(yield from scan(chosen, mask, remaining))):
                 if s > best_sigma + 1e-15:
                     best_i, best_sigma = i, s
             chosen.append(remaining.pop(best_i))
@@ -356,15 +358,15 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
             for pos in range(m):
                 j = 0
                 while j < len(remaining):
-                    trial = yield from scan(chosen, mask, remaining[j:], pos,
-                                            (current + 1e-12) ** 2)
-                    hit = next((i for i, s in enumerate(trial) if s > current + 1e-12), None)
+                    live, trial = yield from scan(chosen, mask, remaining[j:], pos,
+                                                  (current + 1e-12) ** 2)
+                    hit = next((t for t, s in enumerate(trial) if s > current + 1e-12), None)
                     if hit is None:
                         break
                     # Swap: the old node rejoins the candidates at the end,
                     # and the scan resumes at the next index of the updated
                     # list (the order of an in-place iteration over it).
-                    j += hit
+                    j += live[hit]
                     old, chosen[pos] = chosen[pos], remaining.pop(j)
                     remaining.append(old)
                     mask = mask & ~(1 << old) | 1 << chosen[pos]

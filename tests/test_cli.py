@@ -39,6 +39,18 @@ class TestSignalIO:
         path.write_text("# header\n1.5\n2.0 -3.0\n")
         assert np.array_equal(read_signal(path), [1.5, 2 - 3j])
 
+    @pytest.mark.parametrize("text, dtype", [
+        ("1.5\n-2.0\n", np.float64),
+        ("1.5 0\n-2.0 0.0\n", np.float64),
+        ("1.5\n-2.0 0.5\n", np.complex128),
+    ])
+    def test_real_values_read_as_real(self, tmp_path, text, dtype):
+        path = tmp_path / "sig.txt"
+        path.write_text(text)
+        x = read_signal(path)
+        assert x.dtype == dtype
+        assert np.array_equal(x.real, [1.5, -2.0])
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "sig.txt"
         path.write_text("1.0\nx y\n")

@@ -318,14 +318,15 @@ class TestReversibility:
             assert t1 == t2 == t3
 
     def test_pi_at_roundoff_level_not_reversible(self):
-        # Two disjoint 5-cycles: the candidate pi of the singular solve is
-        # ~1e-17 noise on one cycle.  Detailed balance relative to ||Pi P||
-        # passes it; the symmetry of S does not.
+        # Two disjoint 5-cycles, and the pi a singular solve gives them:
+        # ~1e-17 noise on one cycle, uniform 0.2 on the other.  Detailed
+        # balance relative to ||Pi P|| passes it; the symmetry of S does not.
         a = np.zeros((10, 10))
         a[:5, :5] = bgft.undirected_cycle(5).adjacency
         a[5:, 5:] = bgft.undirected_cycle(5).adjacency
         op = bgft.transition(bgft.DirectedGraph(a))
-        dist = markov._solved_stationary(op.p)
+        noise = np.array([3.6, 6.3, 0.89, 2.2, 0.94]) * 1e-17
+        dist = bgft.StationaryDistribution(pi=np.concatenate([noise, np.full(5, 0.2)]))
         assert np.max(dist.pi[:5]) < 1e-15
         assert not bgft.is_reversible(op, dist)
         assert op.eig.solver == "geev"

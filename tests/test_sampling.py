@@ -429,6 +429,17 @@ class TestGreedySearch:
         bgft.greedy_sampling_set(basis, omega, m)
         assert seen and len(set(seen)) == len(seen)
 
+    def test_search_keeps_no_state(self):
+        # The memo lives and dies with one call: nothing is cached on the
+        # basis, its operator, the band or the module.
+        basis = bgft.decompose(bgft.transition(random_digraph(16, 900)))
+        omega = bgft.select_band(basis, 4)
+        holders = (basis, basis.operator, omega, bgft.sampling)
+        before = [set(vars(h)) for h in holders]
+        first = bgft.greedy_sampling_set(basis, omega, 6)
+        assert bgft.greedy_sampling_set(basis, omega, 6) == first
+        assert [set(vars(h)) for h in holders] == before
+
 
 def memoized_greedy(v_o, m):
     """greedy_sampling_set as it was before candidates were screened by a

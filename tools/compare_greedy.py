@@ -7,10 +7,13 @@ each seed, a child process per tree builds the seed's `sampling-design`
 problems with bench/workloads.SamplingDesign (imported, not changed; 72 per
 seed) on that tree's bgft and runs greedy_sampling_set on each, counting the
 calls to np.linalg.svd and np.linalg.eigh it makes and the matrices they
-decompose (a stack of B matrices counts B).  The script prints every problem
-whose node set differs, then each tree's total seconds in
-greedy_sampling_set and its call and matrix totals, and exits 1 on any
-difference.
+decompose (a stack of B matrices counts B).  Each seed runs the trees in
+the order old, new, new, old, so a drift of the machine's speed during the
+runs weighs on both alike.  The script prints every problem whose node set
+differs (between the trees, or between two runs of one tree), then each
+tree's call and matrix totals and the min and median over its runs of the
+seconds spent in greedy_sampling_set (summed over the seeds), and exits 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -71,30 +75,35 @@ def main(argv) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7919])
     args = parser.parse_args(argv)
-    old, new = args.old.resolve(), args.new.resolve()
+    srcs = {"old": args.old.resolve(), "new": args.new.resolve()}
     total = differ = 0
-    seconds = {"old": 0.0, "new": 0.0}
-    counts = {tree: {name: [0, 0] for name in ("svd", "eigh")} for tree in seconds}
+    seconds = {tree: [0.0, 0.0] for tree in srcs}  # per run, summed over seeds
+    counts = {tree: {name: [0, 0] for name in ("svd", "eigh")} for tree in srcs}
     for seed in args.seeds:
-        a, b = run(old, seed), run(new, seed)
-        for tree, res in (("old", a), ("new", b)):
-            seconds[tree] += res["seconds"]
-            for name, (calls, matrices) in res["counts"].items():
+        res = {tree: [] for tree in srcs}
+        for tree in ("old", "new", "new", "old"):
+            res[tree].append(run(srcs[tree], seed))
+        for tree, runs in res.items():
+            for i, r in enumerate(runs):
+                seconds[tree][i] += r["seconds"]
+            for name, (calls, matrices) in runs[0]["counts"].items():
                 counts[tree][name][0] += calls
                 counts[tree][name][1] += matrices
-        for i, (x, y) in enumerate(zip(a["sets"], b["sets"])):
+        # Each problem's sets in the runs old, old, new, new.
+        for i, sets in enumerate(zip(*(r["sets"] for r in res["old"] + res["new"]))):
             total += 1
-            if x != y:
+            if any(s != sets[0] for s in sets):
                 differ += 1
-                kind, k, m = x[:3]
+                kind, k, m = sets[0][:3]
                 print(f"differs: seed {seed} problem {i} ({kind}, K={k}, m={m}): "
-                      f"{x[3]} -> {y[3]}")
+                      f"old {sets[0][3]} {sets[1][3]}, new {sets[2][3]} {sets[3][3]}")
     print(f"{differ} of {total} problems differ")
-    for tree in ("old", "new"):
+    for tree in srcs:
         svd, eigh = counts[tree]["svd"], counts[tree]["eigh"]
-        print(f"{tree}: {seconds[tree]:.2f} s in greedy_sampling_set, "
-              f"svd {svd[0]} calls on {svd[1]} matrices, "
-              f"eigh {eigh[0]} calls on {eigh[1]} matrices")
+        print(f"{tree}: svd {svd[0]} calls on {svd[1]} matrices, "
+              f"eigh {eigh[0]} calls on {eigh[1]} matrices, "
+              f"{min(seconds[tree]):.2f} s min and {statistics.median(seconds[tree]):.2f} s "
+              f"median in greedy_sampling_set over {len(seconds[tree])} runs")
     return 1 if differ else 0
 
 
