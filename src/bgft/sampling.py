@@ -283,15 +283,7 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
     sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
     bounds = {}  # base bitmask -> _sigma_min_sq_bounds of the base, per node
-
-    def sets(chosen, cands, pos):
-        """The sorted node sets of chosen with each of cands appended (pos
-        None) or put in place of chosen[pos], one per row."""
-        out = np.empty((len(cands), len(chosen) + (pos is None)), dtype=np.intp)
-        out[:, :len(chosen)] = chosen
-        out[:, len(chosen) if pos is None else pos] = cands
-        out.sort(axis=1)
-        return out
+    nbytes = (n + 7) // 8  # of a bitmask
 
     def scan(chosen, mask, cands, pos=None, floor=None):
         """Generator returning (live, values): the ascending positions in
@@ -299,44 +291,44 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
         and sigma_min of chosen with each of them appended (pos None) or put
         in place of chosen[pos].  A growth step passes no floor; its floor is
         sigma_min**2 of the first candidate with the largest bound.  It
-        yields ("bound", base, rows) and ("sigma", keys, sets) requests,
-        which serve answers in bounds and sigma before it resumes."""
+        yields ("bound", base, rows) and ("sigma", keys, size) requests, only
+        for values not yet memoized, which serve answers in bounds and sigma
+        before it resumes."""
         base = mask if pos is None else mask & ~(1 << chosen[pos])
+        size = len(chosen) + (pos is None)
         if base not in bounds:
             yield "bound", base, chosen if pos is None else chosen[:pos] + chosen[pos + 1:]
         row = bounds[base].tolist()
         if floor is None:
             top = max(cands, key=row.__getitem__)  # the first of equal bounds
             if base | 1 << top not in sigma:
-                yield "sigma", [base | 1 << top], sets(chosen, [top], pos)
+                yield "sigma", [base | 1 << top], size
             floor = sigma[base | 1 << top] ** 2
         live = [i for i, c in enumerate(cands) if row[c] > floor]
         keys = [base | 1 << cands[i] for i in live]
         new = [t for t, key in enumerate(keys) if key not in sigma]
         if new:
-            yield "sigma", [keys[t] for t in new], sets(chosen, [cands[live[t]] for t in new], pos)
+            yield "sigma", [keys[t] for t in new], size
         return live, [sigma[key] for key in keys]
 
     def serve(requests):
         """Answer one round of requests: each base and node set not yet
-        memoized once, one stacked call per base size and per set size."""
-        bases, svd = {}, {}  # size -> {base: rows}, size -> (keys, set arrays)
-        claimed = set()
-        for kind, keys, rows in requests:
-            if kind == "bound":  # keys is the one base's bitmask
-                if keys not in bounds:
-                    bases.setdefault(len(rows), {})[keys] = rows
-                continue
-            take = [i for i, key in enumerate(keys) if key not in sigma and key not in claimed]
-            if take:  # a group of only memoized sets would stack no matrix
-                claimed.update(keys[i] for i in take)
-                group, parts = svd.setdefault(rows.shape[1], ([], []))
-                group += [keys[i] for i in take]
-                parts.append(rows if len(take) == len(keys) else rows[take])
+        memoized once, one stacked call per base size and per set size.
+        A set's rows are its bitmask's set bits in ascending order."""
+        bases, svd = {}, {}  # base size -> {base: rows}, set size -> {key: None}
+        for kind, keys, arg in requests:
+            if kind == "bound":  # keys is the one base's bitmask, arg its rows
+                bases.setdefault(len(arg), {})[keys] = arg
+            else:  # arg is the size of the sets
+                svd.setdefault(arg, {}).update(dict.fromkeys(keys))
         for group in bases.values():
             bounds.update(zip(group, _sigma_min_sq_bounds(v_o, list(group.values()), sq)))
-        for group, parts in svd.values():
-            sv = np.linalg.svd(v_o[np.concatenate(parts)], compute_uv=False)[:, -1]
+        for size, group in svd.items():
+            packed = b"".join(key.to_bytes(nbytes, "little") for key in group)
+            bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(group), nbytes),
+                                 axis=1, count=n, bitorder="little")
+            rows = np.nonzero(bits)[1].reshape(len(group), size)
+            sv = np.linalg.svd(v_o[rows], compute_uv=False)[:, -1]
             sigma.update(zip(group, sv.tolist()))
 
     def one_run(start):
