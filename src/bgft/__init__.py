@@ -12,7 +12,6 @@ from .errors import (
     EdgeListParseError,
     InvalidNodeError,
     InvalidSizeError,
-    NoPositiveVectorError,
     NotIrreducibleError,
     RankDeficientError,
     SinkNodeError,

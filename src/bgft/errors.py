@@ -24,10 +24,6 @@ class NotIrreducibleError(BgftError):
     """The chain has no unique positive stationary distribution."""
 
 
-class NoPositiveVectorError(BgftError):
-    """The eigenvalue-1 left eigenvector has mixed signs."""
-
-
 class InvalidSizeError(BgftError):
     """A size parameter is outside its allowed range."""
 

@@ -36,6 +36,15 @@ def transient_chain():
     return bgft.DirectedGraph(a)
 
 
+def birth_death_chain(n, r):
+    """Path 0 - 1 - ... - n-1 stepping right with probability r and left with
+    1 - r, held at the two ends: reversible, with pi_i proportional to
+    (r / (1 - r))^i."""
+    a = np.diag(np.full(n - 1, r), 1) + np.diag(np.full(n - 1, 1.0 - r), -1)
+    a[0, 0], a[-1, -1] = 1.0 - r, r
+    return bgft.DirectedGraph(a)
+
+
 @pytest.fixture(scope="session")
 def canonical_bases():
     """Decomposed operators for the three benchmark graphs at n=64."""

@@ -9,7 +9,7 @@ import pytest
 import bgft
 from bgft.cli import main, read_signal, write_signal
 
-from conftest import transient_chain
+from conftest import birth_death_chain, transient_chain
 
 
 def run(args, out_path):
@@ -116,6 +116,15 @@ class TestIndices:
         assert main(["indices", "--graph", "file", "--input", str(gpath)]) == 0
         header, row = capsys.readouterr().out.splitlines()
         assert dict(zip(header.split(), row.split()))["reversible"] == "False"
+
+    def test_widely_spread_pi_reversible(self, tmp_path, capsys):
+        # birth-death n=12, r=0.1: pi spreads over 3.1e10, and detailed
+        # balance holds to roundoff with stationary's pi
+        gpath = tmp_path / "bd.edges"
+        bgft.save_edge_list(birth_death_chain(12, 0.1), gpath)
+        assert main(["indices", "--graph", "file", "--input", str(gpath)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(), row.split()))["reversible"] == "True"
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ import bgft
 from bgft import markov
 from bgft.errors import NotIrreducibleError, SinkNodeError
 
-from conftest import random_digraph, random_reversible_graph, transient_chain
+from conftest import (
+    birth_death_chain,
+    random_digraph,
+    random_reversible_graph,
+    transient_chain,
+)
 
 
 class TestTransition:
@@ -244,6 +250,48 @@ class TestStationary:
         with pytest.raises(NotIrreducibleError, match="zero entry"):
             bgft.stationary(bgft.transition(transient_chain()))
 
+    @pytest.mark.parametrize("n, r", [(12, 0.1), (20, 0.1), (30, 0.1), (40, 0.2),
+                                      (60, 0.3), (200, 0.4)])
+    def test_birth_death_closed_form(self, n, r):
+        # pi spreads over (r / (1 - r))^(n-1): 3.1e10 at n = 12, 1e35 at 200
+        op = bgft.transition(birth_death_chain(n, r))
+        dist = bgft.stationary(op)
+        closed = (r / (1.0 - r)) ** np.arange(n)
+        closed /= closed.sum()
+        assert np.max(np.abs(dist.pi - closed) / closed) <= 1e-13
+        assert bgft.is_reversible(op, dist)
+
+    @pytest.mark.parametrize("r", [0.6, 0.4])
+    def test_spread_beyond_float64_raises(self, r):
+        # pi spreads over 1.5^1999 = 1e352: pi_0 or pi_1999 is below float64's
+        # range, and the elimination neither overflows nor warns
+        op = bgft.transition(birth_death_chain(2000, r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotIrreducibleError, match="zero entry"):
+                bgft.stationary(op)
+
+    def test_needs_no_eigensolver(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("stationary called a dense solver")
+
+        for name in ("eig", "eigh", "solve"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        for g in (random_digraph(12, 40), random_reversible_graph(12, 41),
+                  bgft.directed_cycle(12)):
+            op = bgft.transition(g)
+            pi = bgft.stationary(op).pi
+            assert np.linalg.norm(pi @ op.p - pi) <= 1e-15
+            assert "eig" not in vars(op)
+
+    @pytest.mark.parametrize("n", [17, 33, 64])
+    def test_panels_match_one_state_at_a_time(self, n, monkeypatch):
+        op = bgft.transition(random_digraph(n, 50 + n, density=0.3))
+        blocked = bgft.stationary(op).pi
+        monkeypatch.setattr(markov, "GTH_PANEL", n)
+        unblocked = bgft.stationary(op).pi
+        assert np.max(np.abs(blocked - unblocked) / unblocked) <= 1e-14
+
 
 class TestOneEigendecomposition:
     def test_one_real_lapack_eig_per_operator(self, monkeypatch):
@@ -262,7 +310,7 @@ class TestOneEigendecomposition:
         assert inputs == [np.dtype(np.float64)]
         assert basis.eig is op.eig
         assert basis.eigenvalues.dtype == basis.left_dual.dtype == np.complex128
-        # pi is the lambda = 1 row of the dual basis U* = V^{-1}
+        # pi agrees with the lambda = 1 row of the dual basis U* = V^{-1}
         u1 = basis.left_dual[basis.order[0]]
         assert_allclose(pi, u1.real / u1.real.sum(), atol=1e-15)
 

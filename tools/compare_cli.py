@@ -3,7 +3,7 @@
     python tools/compare_cli.py OLD_SRC NEW_SRC
 
 Each SRC is a directory holding the bgft package (a checkout's src/).  The
-script writes its inputs to a temporary directory: an edge list, three
+script writes its inputs to a temporary directory: two edge lists, three
 Matrix Market files written by scipy.io.mmwrite (real general, real
 symmetric and pattern), a real and a complex signal file, and the malformed
 files the rejections read.  It runs a fixed list of argvs
@@ -66,19 +66,29 @@ BAD_FILES = {
 }
 
 
+def write_edge_list(a: np.ndarray, path: Path) -> None:
+    """The edge list bgft.save_edge_list writes for adjacency a."""
+    with open(path, "w") as fh:
+        fh.write(f"# nodes {a.shape[0]}\n")
+        for i, j in zip(*np.nonzero(a)):
+            fh.write(f"{i} {j} {float(a[i, j])!r}\n")
+
+
 def write_inputs(d: Path) -> None:
-    """The graph and signal files the argvs name, all for N nodes."""
+    """The graph and signal files the argvs name, all for N nodes but the
+    birth-death path: n=12 stepping right with probability 0.1, reversible,
+    with pi spread over 3.1e10."""
     rng = np.random.default_rng(7)
     a = np.roll(np.eye(N), 1, axis=1)  # directed cycle, so no node is a sink
     a += rng.random((N, N)) * (rng.random((N, N)) < 0.1)
-    with open(d / "graph.edges", "w") as fh:
-        fh.write(f"# nodes {N}\n")
-        for i, j in zip(*np.nonzero(a)):
-            fh.write(f"{i} {j} {float(a[i, j])!r}\n")
+    write_edge_list(a, d / "graph.edges")
     scipy.io.mmwrite(str(d / "graph.mtx"), scipy.sparse.coo_matrix(a.T))
     scipy.io.mmwrite(str(d / "symmetric.mtx"), scipy.sparse.coo_matrix(a + a.T),
                      symmetry="symmetric")
     scipy.io.mmwrite(str(d / "pattern.mtx"), scipy.sparse.coo_matrix(a > 0), field="pattern")
+    bd = np.diag(np.full(11, 0.1), 1) + np.diag(np.full(11, 0.9), -1)
+    bd[0, 0], bd[-1, -1] = 0.9, 0.1
+    write_edge_list(bd, d / "birth-death.edges")
     x = rng.standard_normal(N)
     (d / "x.sig").write_text("".join(f"{v!r}\n" for v in x.tolist()))
     z = x + 1j * rng.standard_normal(N)
@@ -113,6 +123,7 @@ def argvs() -> list:
             ]
     out += [["table1", "--n", "16", "--eps", "5", "--k", "3", "--m", "6", "--format", fmt]
             for fmt in FORMATS]
+    out += [["indices", "--graph", "file", "--input", "{d}/birth-death.edges"]]
     out += [  # the README examples
         ["indices", "--graph", "perturbed-cycle"],
         ["filter", "{d}/x.sig", "--tau", "2", "--out", "{out}"],
