@@ -19,12 +19,6 @@ REVERSIBILITY_TOL = 1e-10
 # wins up to 4 nonzeros per row, and at n >= 512 up to 16; it loses at 64 per
 # row, and at n = 64 at any density, there by about 1 us per matvec.
 ROW_VIEW_DENSITY = 32
-# The eigh route's decomposition is kept only when its residual against P is
-# at most this multiple of n * eps * max(1, ||P||_F).  Clean reversible chains
-# measured at most 1.5 of that unit (the 600 seeded families, n up to 512);
-# one that passed the symmetry test only within REVERSIBILITY_TOL (edge
-# weights off by 1e-10) measured 1300 and goes to eig_general instead.
-EIGH_RESIDUAL_FACTOR = 16
 # stationary eliminates GTH_PANEL states per panel by rank-one updates, then
 # the states below by one GEMM of nonnegative terms.  Random dense P, min of 7
 # runs, 2-core Xeon, OpenBLAS 0.3.31: 5.4 ms at n = 256 against 15 ms one state
@@ -49,7 +43,7 @@ class TransitionOperator:
     pi inner product, so S = Pi^{1/2} P Pi^{-1/2} (symmetrize) goes to eigh
     (linalg.eig_symmetrized; see _symmetric_form for the test).
     Every other chain, and a reversible one whose eigh residual against P
-    is above roundoff (EIGH_RESIDUAL_FACTOR), goes to linalg.eig_general.
+    is above roundoff (linalg.residual_bound), goes to linalg.eig_general.
     eig.solver records which ran.
     """
 
@@ -133,16 +127,15 @@ def _solved_stationary(p: np.ndarray) -> StationaryDistribution | None:
 def _eigh_route(op: TransitionOperator) -> linalg.EigenDecomposition | None:
     """eig_symmetrized's decomposition of P if op qualifies for the eigh
     route (_symmetric_form) and its residual against P is at most
-    EIGH_RESIDUAL_FACTOR * n * eps * max(1, ||P||_F), else None.  The
-    residual is the one eig_symmetrized computes, so a clean chain pays
-    nothing; a chain that is reversible only to within REVERSIBILITY_TOL
-    would otherwise carry S's asymmetry into its eigenpairs."""
+    linalg.residual_bound(P), else None.  The residual is the one
+    eig_symmetrized computes, so a clean chain pays nothing; a chain that is
+    reversible only to within REVERSIBILITY_TOL would otherwise carry S's
+    asymmetry into its eigenpairs."""
     form = _symmetric_form(op)
     if form is None:
         return None
     dec = linalg.eig_symmetrized(op.p, *form)
-    bound = EIGH_RESIDUAL_FACTOR * op.n * np.finfo(float).eps * max(1.0, np.linalg.norm(op.p))
-    return dec if dec.residual <= bound else None
+    return dec if dec.residual <= linalg.residual_bound(op.p) else None
 
 
 def _symmetric_form(op: TransitionOperator) -> tuple | None:
@@ -191,8 +184,7 @@ def departure_from_normality(m) -> float:
     den = np.linalg.norm(m) ** 2
     if den == 0:
         return 0.0
-    mh = m.conj().T
-    return float(np.linalg.norm(m @ mh - mh @ m) / den)
+    return float(linalg.commutator_norm(m) / den)
 
 
 def stationary(op: TransitionOperator) -> StationaryDistribution:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import bgft
+from bgft import linalg
 from bgft.errors import DefectiveMatrixError, InvalidSizeError
 
 from conftest import random_digraph
@@ -29,6 +30,139 @@ def planted_normal(seed, pairs=3, copies=2):
     for k, (a, b) in enumerate(np.repeat(rng.standard_normal((pairs, 2)), copies, axis=0)):
         d[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, -b], [b, a]]
     return q @ d @ q.T
+
+
+def weighted_circulant(n, seed):
+    """Circulant with random weights on 3 random offsets: it commutes with its
+    transpose (another circulant), so it is normal, but it is not symmetric."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    rows = np.arange(n)
+    for offset in rng.choice(np.arange(1, n), size=3, replace=False):
+        a[rows, (rows + offset) % n] = rng.random()
+    return a
+
+
+def signed_symmetric(n, seed):
+    """|m_ij| = |m_ji| with independent random signs: each row has the 2-norm
+    of the matching column, so the O(n^2) screen passes, but m is not normal."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, n))
+    return (w + w.T) * rng.choice([-1.0, 1.0], size=(n, n))
+
+
+def near_normal_cycle(n=16, off=1e-11):
+    """P of the directed n-cycle with an extra edge of weight off, row
+    renormalized: normal to within linalg.NORMAL_TOL, not to roundoff."""
+    p = bgft.transition(bgft.directed_cycle(n)).p.copy()
+    p[0, 2] = off
+    p[0] /= p[0].sum()
+    return p
+
+
+def multiset_distance(a, b):
+    """Largest distance from each entry of b to the nearest entry of a not
+    matched to an earlier one."""
+    a, worst = list(a), 0.0
+    for z in b:
+        j = int(np.argmin(np.abs(np.array(a) - z)))
+        worst = max(worst, abs(a.pop(j) - z))
+    return worst
+
+
+def dgeev_decomposition(m, monkeypatch):
+    """eig_general(m) with the normal route switched off: dgeev's result."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_normal_route", lambda m: None)
+        return bgft.eig_general(m)
+
+
+def counted(monkeypatch, module, name, refuse=lambda *args: False):
+    """Wrap module.name to count its calls, raising AssertionError on a call
+    whose arguments refuse accepts; returns the list of call arguments."""
+    fn, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        if refuse(*args):
+            raise AssertionError(f"{name} called with refused arguments")
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+NORMAL_INPUTS = {
+    **{f"directed-cycle-{n}": (lambda n=n: bgft.transition(bgft.directed_cycle(n)).p)
+       for n in (3, 4, 16, 256)},
+    **{f"directed-torus-{'x'.join(map(str, shape))}": (
+        lambda shape=shape: bgft.transition(bgft.DirectedGraph(directed_torus(*shape))).p)
+       for shape in [(3, 3), (4, 4), (6, 6), (12, 12), (4, 4, 4)]},
+    **{f"weighted-circulant-{seed}": (lambda seed=seed: weighted_circulant(24, seed))
+       for seed in range(3)},
+}
+
+
+class TestNormalRoute:
+    """A real normal m takes eigh of its symmetric part and one batched eig
+    per block size, never dgeev on m itself."""
+
+    @staticmethod
+    def check_normal_route(m, monkeypatch):
+        ref = np.linalg.eig(m)[0]
+        with monkeypatch.context() as patch:
+            counted(patch, np.linalg, "eig", refuse=lambda a, *rest: np.ndim(a) == 2)
+            dec = bgft.eig_general(m)
+        lam = dec.eigenvalues
+        assert dec.solver == "geev"
+        assert multiset_distance(lam, ref) <= 1e-12
+        assert dec.cond_v <= 1 + 1e-12
+        assert_array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+
+    @pytest.mark.parametrize("kind", sorted(NORMAL_INPUTS))
+    def test_normal_input_skips_dgeev(self, kind, monkeypatch):
+        self.check_normal_route(NORMAL_INPUTS[kind](), monkeypatch)
+
+    def test_planted_normal_skips_dgeev(self, monkeypatch):
+        for seed in range(50):
+            self.check_normal_route(planted_normal(seed), monkeypatch)
+
+    def test_near_normal_takes_dgeev(self, monkeypatch):
+        # Within NORMAL_TOL, so the split is tried, but its residual is ~135
+        # times residual_bound: dgeev runs and gives its own result.
+        p = near_normal_cycle()
+        assert linalg.commutator_norm(p) <= linalg.NORMAL_TOL * np.linalg.norm(p) ** 2
+        ref = dgeev_decomposition(p, monkeypatch)
+        eigh_calls = counted(monkeypatch, np.linalg, "eigh")
+        eig_calls = counted(monkeypatch, np.linalg, "eig")
+        dec = bgft.eig_general(p)
+        assert len(eigh_calls) == 1
+        assert [np.shape(args[0]) for args in eig_calls][-1] == p.shape
+        for field in ("eigenvalues", "right_vectors", "left_dual"):
+            assert_array_equal(getattr(dec, field), getattr(ref, field))
+        assert (dec.cond_v, dec.residual) == (ref.cond_v, ref.residual)
+
+    def test_screen_spares_non_normal_chains(self, monkeypatch, property_suite,
+                                             canonical_bases):
+        # Row and column norms differ, so neither the commutator GEMMs nor
+        # eigh run.
+        chains = [op.p for op, _ in property_suite]
+        chains += [canonical_bases["perturbed"][0].p,
+                   bgft.transition(random_digraph(64, 3)).p]
+        counted(monkeypatch, linalg, "commutator_norm", refuse=lambda *args: True)
+        counted(monkeypatch, np.linalg, "eigh", refuse=lambda *args: True)
+        for p in chains:
+            assert bgft.eig_general(p).solver == "geev"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_screen_passing_non_normal_never_reaches_eigh(self, seed, monkeypatch):
+        m = signed_symmetric(8, seed)
+        assert_allclose(np.linalg.norm(m, axis=1), np.linalg.norm(m, axis=0), rtol=1e-15)
+        ref = dgeev_decomposition(m, monkeypatch)
+        counted(monkeypatch, np.linalg, "eigh", refuse=lambda *args: True)
+        dec = bgft.eig_general(m)
+        for field in ("eigenvalues", "right_vectors", "left_dual"):
+            assert_array_equal(getattr(dec, field), getattr(ref, field))
 
 
 class TestEigGeneral:
