@@ -136,17 +136,17 @@ def eig_general(m) -> EigenDecomposition:
     LAPACK's eig (dgeev for real m) gives the eigenpairs and U* = V^{-1} is
     an explicit inverse; the conventions are _conventional_basis's.  A
     cluster whose QR block is not invariant (LAPACK may return parallel
-    vectors for a repeated eigenvalue: the 4-cycle's double 0) takes its
-    basis from the null space of M - mean(lambda) I instead, under the same
-    check.
+    vectors for a repeated eigenvalue: the weighted 4-cycle's double 0)
+    takes its basis from the null space of M - mean(lambda) I instead,
+    under the same check.
 
     A real m that is normal to roundoff takes its eigenpairs from
     _normal_route instead of dgeev, where they pass residual_bound(m): eigh
     of (m + m^T) / 2, then batched eig of small blocks.  Francis QR
     converges slowly on a unitary Hessenberg matrix, so this matters most
     for the directed cycle: 139 -> 33 ms at n = 256 and 642 -> 143 ms at
-    n = 512 (min of 5, 2-core Xeon, OpenBLAS 0.3.31).  Any other m costs
-    an O(n^2) screen and gives dgeev's result bit for bit.
+    n = 512 (min of 5, 2-core Xeon, OpenBLAS 0.3.31).  Any other m gives
+    dgeev's result bit for bit, and most pay only an O(n^2) screen.
 
     Raises DefectiveMatrixError when the eigenvector basis is numerically
     singular (residual or dual-basis check beyond DEFECTIVE_TOL).

@@ -241,16 +241,18 @@ class TestEigGeneral:
         assert bgft.eig_general(p).cond_v <= 1 + 1e-6
 
     def test_parallel_eigenvectors_of_repeated_eigenvalue(self):
-        # LAPACK returns parallel vectors for the 4-cycle's double eigenvalue
-        # 0; the cluster basis comes from the null space of P instead.
+        # dgeev returns parallel vectors for the 4-cycle's double eigenvalue
+        # 0.  This P is symmetric, so eig_general splits it through eigh
+        # (the normal route) and never gives it to dgeev.
         p = bgft.transition(bgft.undirected_cycle(4)).p
         dec = bgft.eig_general(p)
         assert dec.cond_v == pytest.approx(1.0, abs=1e-12)
         assert dec.residual <= 1e-14
         assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
         # The same happens on the 4-cycle with edge weights (1, 2, 2, 1):
-        # reversible, but P is not symmetric.  Without the null-space basis
-        # it reads cond_v ~ 8e7.
+        # reversible, but P is not normal, so dgeev runs and the cluster
+        # basis comes from the null space of P instead.  Without the
+        # null-space basis it reads cond_v ~ 8e7.
         a = np.zeros((4, 4))
         for i, w in enumerate((1, 2, 2, 1)):
             a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = w
