@@ -127,10 +127,17 @@ class TestNormalRoute:
         for seed in range(50):
             self.check_normal_route(planted_normal(seed), monkeypatch)
 
-    def test_near_normal_takes_dgeev(self, monkeypatch):
-        # Within NORMAL_TOL, so the split is tried, but its residual is ~135
-        # times residual_bound: dgeev runs and gives its own result.
-        p = near_normal_cycle()
+    @pytest.mark.parametrize("make", [
+        # The split's residual is ~135 times residual_bound.
+        near_normal_cycle,
+        # Eigenvalues 2e-8 apart, coupled by 1e-5: the split's residual is
+        # above DEFECTIVE_TOL, so it raises, while dgeev gives cond_v 1e3.
+        lambda: np.array([[1.0, 1e-5], [0.0, 1.0 + 2e-8]]),
+    ], ids=["residual-above-bound", "split-defective"])
+    def test_near_normal_takes_dgeev(self, make, monkeypatch):
+        # Within NORMAL_TOL, so the split is tried, but it is refused: dgeev
+        # runs and gives its own result.
+        p = make()
         assert linalg.commutator_norm(p) <= linalg.NORMAL_TOL * np.linalg.norm(p) ** 2
         ref = dgeev_decomposition(p, monkeypatch)
         eigh_calls = counted(monkeypatch, np.linalg, "eigh")
