@@ -13,16 +13,12 @@ the conventions the rest of the toolkit relies on: deterministic eigenvalue
 ordering, unit-norm phase-fixed eigenvector columns, re-orthonormalized
 degenerate clusters, and explicit detection of numerically defective input.
 
-There are two eigensolver routes with these conventions in common.
-eig_general takes any square matrix to LAPACK's general eig (dgeev) and
-inverts V for the dual; a real matrix that is normal to roundoff (a directed
-cycle or torus, a circulant, a symmetric matrix) skips dgeev there and is
-split through eigh of its symmetric part instead, on the same route.
-eig_symmetrized takes a matrix that a positive diagonal similarity makes
-symmetric (a reversible chain) to eigh and builds V and U* from its
-orthonormal Q without an inverse.  The basis of a degenerate cluster is
-arbitrary (only its span is determined), so the two routes may return
-different V for a repeated eigenvalue, with the same cond_v.
+eig_general is the one eigensolver and makes the one choice of solver: eigh
+for a reversible chain (any matrix a positive diagonal similarity makes
+symmetric), an eigh-based split for a normal matrix, LAPACK's general eig
+(dgeev) for the rest.  The basis of a degenerate cluster is arbitrary (only
+its span is determined), so the routes may return different V for a
+repeated eigenvalue, with the same cond_v.
 
 Sizes up to n = 512 are supported and tested; larger inputs work but are
 limited only by memory and O(n^3) runtime.
@@ -43,17 +39,17 @@ CLUSTER_TOL = 1e-8
 DEFECTIVE_TOL = 1e-6
 # Relative singular-value cutoff used for rank decisions everywhere.
 RANK_RCOND = 1e-12
-# A decomposition built from eigh (eig_symmetrized through markov's routing,
-# or eig_general's normal route) is kept only when its residual against the
-# matrix is at most this multiple of n * eps * max(1, ||M||_F) (residual_bound).
-# Clean reversible chains measured at most 1.5 of that unit (the 600 seeded
-# families, n up to 512); one that passed the symmetry test only within
-# markov.REVERSIBILITY_TOL (edge weights off by 1e-10) measured 1300 and goes
-# to eig_general instead.
+# A decomposition built from eigh (eig_general's symmetrized route or normal
+# split) is kept only when its residual against the matrix is at most this
+# multiple of n * eps * max(1, ||M||_F) (residual_bound).  Clean reversible
+# chains measured at most 1.5 of that unit (the 600 seeded families, n up to
+# 512); one whose edge weights are off by 1e-11 passes the symmetry test but
+# measures about 1000, and goes on to the next route.
 EIGH_RESIDUAL_FACTOR = 16
-# eig_general tries the normal route on a real m with ||m m^T - m^T m||_F at
-# most NORMAL_TOL * ||m||_F^2.  The test only admits the attempt, as
-# markov.REVERSIBILITY_TOL does for eigh: the residual bound decides.
+# The one tolerance that admits an eigh-built route: the symmetrized route
+# needs ||S - S^T||_F <= NORMAL_TOL * ||S||_F, the normal split
+# ||m m^T - m^T m||_F <= NORMAL_TOL * ||m||_F^2.  It only admits the attempt:
+# the residual bound decides.
 NORMAL_TOL = 1e-10
 
 
@@ -103,8 +99,8 @@ class EigenDecomposition:
     right_vectors has unit-norm columns; left_dual is its exact inverse, so
     left_dual @ right_vectors = I up to roundoff.  cond_v is the 2-norm
     condition number of right_vectors; residual is ||M V - V Lambda||_F.
-    solver names the route that ran: "geev" (eig_general, whether dgeev or
-    its normal split gave the eigenpairs) or "eigh" (eig_symmetrized).
+    solver names eig_general's route: "eigh" (the symmetrized route) or
+    "geev" (dgeev or the normal split).
     """
 
     eigenvalues: np.ndarray
@@ -131,22 +127,26 @@ class LeastSquaresSolution:
 
 
 def eig_general(m) -> EigenDecomposition:
-    """General (non-Hermitian) eigendecomposition with deterministic output.
+    """Eigendecomposition of a square matrix with deterministic output; the
+    conventions are _conventional_basis's.  A real m gets three tries:
 
-    LAPACK's eig (dgeev for real m) gives the eigenpairs and U* = V^{-1} is
-    an explicit inverse; the conventions are _conventional_basis's.  A
-    cluster whose QR block is not invariant (LAPACK may return parallel
-    vectors for a repeated eigenvalue: the weighted 4-cycle's double 0)
-    takes its basis from the null space of M - mean(lambda) I instead,
-    under the same check.
+    1. _symmetrized_route: a reversible chain, or any m that a positive
+       diagonal similarity makes symmetric, goes to eigh ("eigh").
+    2. _normal_route: an m that is normal to roundoff is split through eigh
+       of (m + m^T) / 2, then batched eig of small blocks ("geev").  Francis
+       QR converges slowly on a unitary Hessenberg matrix, so this matters
+       most for the directed cycle: 139 -> 33 ms at n = 256 and 642 -> 143
+       ms at n = 512 (min of 5, 2-core Xeon, OpenBLAS 0.3.31).
+    3. LAPACK's eig (dgeev for real m) gives the eigenpairs, and U* = V^{-1}
+       is an explicit inverse ("geev").  A cluster whose QR block is not
+       invariant (LAPACK may return parallel vectors for a repeated
+       eigenvalue: the weighted 4-cycle's double 0) takes its basis from
+       the null space of M - mean(lambda) I instead, under the same check.
 
-    A real m that is normal to roundoff takes its eigenpairs from
-    _normal_route instead of dgeev, where they pass residual_bound(m): eigh
-    of (m + m^T) / 2, then batched eig of small blocks.  Francis QR
-    converges slowly on a unitary Hessenberg matrix, so this matters most
-    for the directed cycle: 139 -> 33 ms at n = 256 and 642 -> 143 ms at
-    n = 512 (min of 5, 2-core Xeon, OpenBLAS 0.3.31).  Any other m gives
-    dgeev's result bit for bit, and most pay only an O(n^2) screen.
+    An eigh-built result that _kept refuses passes m on to the next try.
+    Complex m, and any m that neither eigh-built route keeps, give dgeev's
+    result bit for bit; most non-normal, non-reversible m pay only O(n^2)
+    screens.
 
     Raises DefectiveMatrixError when the eigenvector basis is numerically
     singular (residual or dual-basis check beyond DEFECTIVE_TOL).
@@ -154,9 +154,10 @@ def eig_general(m) -> EigenDecomposition:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("eig_general requires a square matrix")
-    dec = _normal_route(m)
-    if dec is not None:
-        return dec
+    if not np.iscomplexobj(m):
+        dec = _symmetrized_route(m) or _normal_route(m)
+        if dec is not None:
+            return dec
     lam, v = np.linalg.eig(m)
     # Column-major, the layout a column-permuted copy has: the in-place sort
     # keeps it, and the QR, SVD and inverse that follow round by it.
@@ -170,10 +171,73 @@ def residual_bound(m) -> float:
     return EIGH_RESIDUAL_FACTOR * m.shape[0] * np.finfo(float).eps * max(1.0, np.linalg.norm(m))
 
 
+def _kept(m, lam, v, u, solver: str) -> EigenDecomposition | None:
+    """_conventional_basis's decomposition of eigh-built eigenpairs, or None
+    ("try the next route") if it raises DefectiveMatrixError or its
+    residual is above residual_bound(m)."""
+    try:
+        dec = _conventional_basis(m, lam, v, u, solver)
+    except DefectiveMatrixError:
+        return None
+    return dec if dec.residual <= residual_bound(m) else None
+
+
+def _symmetrized_route(m) -> EigenDecomposition | None:
+    """eig_general's decomposition of a real m = D^{-1} S D, with D = diag(d)
+    from _balancing_diagonal and ||S - S^T||_F <= NORMAL_TOL ||S||_F (a
+    reversible chain, with d = sqrt(pi) up to scale); None for any other m,
+    or when _kept refuses the result.
+
+    eigh of (S + S^T) / 2 gives S = Q diag(lambda) Q^T, so V = D^{-1} Q and
+    U* = Q^T D, with no inverse; V stays real until it is returned.  The
+    residual is taken against m itself, so a matrix that is symmetric by
+    similarity only up to a small error reports that error there.
+    """
+    d = _balancing_diagonal(m)
+    if d is None:
+        return None
+    s = d[:, None] * m / d
+    if np.linalg.norm(s - s.T) > NORMAL_TOL * np.linalg.norm(s):
+        return None
+    lam, q = np.linalg.eigh((s + s.T) / 2)
+    return _kept(m, lam, q / d[:, None], q.T * d, "eigh")
+
+
+def _balancing_diagonal(m) -> np.ndarray | None:
+    """d with d_0 = 1 and d_j^2 = d_i^2 m_ij / m_ji along a breadth-first
+    spanning tree of m's support from node 0; None if the support is not
+    symmetric, a node is unreached, or d is not finite and positive.
+
+    On a reversible chain this is detailed balance, so d^2 is pi up to scale
+    whichever tree is taken (Kolmogorov's criterion; Kelly, Reversibility
+    and Stochastic Networks, 1979).  It multiplies and divides only, so each
+    entry has a small relative error however widely pi spreads.  One numpy
+    step per BFS level, O(n^2) in all.
+    """
+    support = m != 0
+    if not np.array_equal(support, support.T):
+        return None
+    d2 = np.ones(m.shape[0])
+    reached = np.zeros(m.shape[0], bool)
+    reached[0] = True
+    frontier = np.zeros(1, int)
+    with np.errstate(all="ignore"):
+        while frontier.size:
+            links = support[frontier] & ~reached
+            new = np.flatnonzero(links.any(axis=0))
+            parent = frontier[links[:, new].argmax(axis=0)]
+            d2[new] = d2[parent] * m[parent, new] / m[new, parent]
+            reached[new] = True
+            frontier = new
+        d = np.sqrt(d2)
+    if not (reached.all() and np.all(np.isfinite(d) & (d > 0))):
+        return None
+    return d
+
+
 def _normal_route(m) -> EigenDecomposition | None:
     """eig_general's decomposition of a real m that is normal to roundoff,
-    without dgeev; None for any other m, or when the result's residual is
-    above residual_bound(m).
+    without dgeev; None for any other m, or when _kept refuses the result.
 
     A normal m shares its eigenvectors with its symmetric part, so eigh of
     (m + m^T) / 2 gives an orthonormal Q whose runs of eigenvalues within
@@ -182,7 +246,7 @@ def _normal_route(m) -> EigenDecomposition | None:
     batched call per block size, and V = Q_c Y.  Real blocks keep conjugate
     pairs exactly conjugate, as dgeev does.
     """
-    if np.iscomplexobj(m) or not _is_normal(m):
+    if not _is_normal(m):
         return None
     n = m.shape[0]
     w, q = np.linalg.eigh((m + m.T) / 2)
@@ -200,11 +264,7 @@ def _normal_route(m) -> EigenDecomposition | None:
             continue
         mu, y = np.linalg.eig(blocks)
         lam[cols], v[:, cols] = mu, np.einsum("ick,ckl->icl", qc, y)
-    try:
-        dec = _conventional_basis(m, lam, v, None, "geev")
-    except DefectiveMatrixError:
-        return None
-    return dec if dec.residual <= residual_bound(m) else None
+    return _kept(m, lam, v, None, "geev")
 
 
 def _is_normal(m) -> bool:
@@ -224,31 +284,10 @@ def commutator_norm(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m))
 
 
-def eig_symmetrized(m, s, d) -> EigenDecomposition:
-    """Eigendecomposition of m = D^{-1} S D, with D = diag(d) positive and S
-    symmetric up to roundoff: a reversible chain, S = Pi^{1/2} P Pi^{-1/2}
-    and d = sqrt(pi) (markov.symmetrize).
-
-    eigh of (S + S^T) / 2 gives S = Q diag(lambda) Q^T, so V = D^{-1} Q and
-    U* = Q^T D, with no inverse; V stays real until it is returned.  The
-    conventions are eig_general's (_conventional_basis), so the two agree
-    on cond_v and, up to the arbitrary basis of a degenerate cluster, on V.
-    The residual is taken against m itself, so a matrix that is symmetric
-    by similarity only up to a small error reports that error there.
-    """
-    m, s = as_matrix(m), as_matrix(s)
-    n = m.shape[0]
-    d = as_vector(d, n)
-    if m.shape != (n, n) or s.shape != (n, n) or not np.all(d > 0):
-        raise ValueError("eig_symmetrized needs square m and S of one size and d > 0")
-    lam, q = np.linalg.eigh((s + s.T) / 2)
-    return _conventional_basis(m, lam, q / d[:, None], q.T * d, "eigh")
-
-
 def _conventional_basis(m, lam, v, u, solver: str) -> EigenDecomposition:
-    """The conventions both eigensolver routes share, applied to M's
-    eigenpairs (lam, v) and, for eigh, the left dual u (None for geev, which
-    takes it as inv(v) at the end).  v and u are changed in place, so that
+    """The conventions every route of eig_general shares, applied to M's
+    eigenpairs (lam, v) and, for the symmetrized route, the left dual u
+    (None otherwise, which takes it as inv(v) at the end).  v and u are changed in place, so that
     no second n x n copy of either is alive during the checks.
 
     Eigenvalues are sorted by descending real part, ties broken by ascending

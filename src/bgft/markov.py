@@ -1,5 +1,7 @@
 """Random-walk operators: P and I - P, stationary distribution, reversibility
-machinery, and the asymmetry / non-normality indices."""
+machinery, and the asymmetry / non-normality indices.  The eigensolver
+decision, eigh for a reversible P or LAPACK's general eig, is
+linalg.eig_general's."""
 
 from __future__ import annotations
 
@@ -37,14 +39,9 @@ class TransitionOperator:
     builds the view, and never casts P to complex: a complex x is applied
     as P Re(x) + i P Im(x).  The paths agree up to summation order.
 
-    eig is the one eigendecomposition of P, computed on first use and read
-    by the biorthogonal basis (transform.decompose); stationary() never
-    reads it.  It chooses the solver: a reversible P is self-adjoint in the
-    pi inner product, so S = Pi^{1/2} P Pi^{-1/2} (symmetrize) goes to eigh
-    (linalg.eig_symmetrized; see _symmetric_form for the test).
-    Every other chain, and a reversible one whose eigh residual against P
-    is above roundoff (linalg.residual_bound), goes to linalg.eig_general.
-    eig.solver records which ran.
+    eig is the one eigendecomposition of P, linalg.eig_general's, computed
+    on first use and read by the biorthogonal basis (transform.decompose);
+    stationary() never reads it.
     """
 
     p: np.ndarray
@@ -59,7 +56,7 @@ class TransitionOperator:
 
     @cached_property
     def eig(self) -> linalg.EigenDecomposition:
-        return _eigh_route(self) or linalg.eig_general(self.p)
+        return linalg.eig_general(self.p)
 
     @cached_property
     def _row_view(self) -> tuple | None:
@@ -100,59 +97,6 @@ class StationaryDistribution:
     """Positive probability vector pi with pi^T P = pi^T."""
 
     pi: np.ndarray
-
-    @property
-    def pi_diag_sqrt(self) -> np.ndarray:
-        return np.sqrt(self.pi)
-
-
-def _solved_stationary(p: np.ndarray) -> StationaryDistribution | None:
-    """pi from one LU solve of (I - P^T) pi = 0, its last equation replaced
-    by sum(pi) = 1; None if the system is singular or pi is not finite and
-    positive.  Only the candidate for TransitionOperator.eig's choice of
-    solver: it costs a twentieth of stationary() at n = 32."""
-    a = np.eye(p.shape[0]) - p.T
-    a[-1] = 1.0
-    b = np.zeros(p.shape[0])
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(pi) & (pi > 0)):
-        return None
-    return StationaryDistribution(pi=pi)
-
-
-def _eigh_route(op: TransitionOperator) -> linalg.EigenDecomposition | None:
-    """eig_symmetrized's decomposition of P if op qualifies for the eigh
-    route (_symmetric_form) and its residual against P is at most
-    linalg.residual_bound(P), else None.  The residual is the one
-    eig_symmetrized computes, so a clean chain pays nothing; a chain that is
-    reversible only to within REVERSIBILITY_TOL would otherwise carry S's
-    asymmetry into its eigenpairs."""
-    form = _symmetric_form(op)
-    if form is None:
-        return None
-    dec = linalg.eig_symmetrized(op.p, *form)
-    return dec if dec.residual <= linalg.residual_bound(op.p) else None
-
-
-def _symmetric_form(op: TransitionOperator) -> tuple | None:
-    """(S, sqrt(pi)) if op qualifies for the eigh route, else None.
-
-    It qualifies when the candidate pi of _solved_stationary is positive and
-    S = symmetrize(op, pi) passes is_reversible's test.  A function of its
-    own (as is _eigh_route), so that its n x n temporaries are freed before
-    eig_general runs.
-    """
-    dist = _solved_stationary(op.p)
-    if dist is None:
-        return None
-    s = symmetrize(op, dist)
-    if not _is_symmetric(s, REVERSIBILITY_TOL):
-        return None
-    return s, dist.pi_diag_sqrt
 
 
 def transition(g: DirectedGraph) -> TransitionOperator:
@@ -236,10 +180,7 @@ def is_reversible(
     entries."""
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"reversibility test needs a finite tol >= 0, got {tol}")
-    return _is_symmetric(symmetrize(op, dist), tol)
-
-
-def _is_symmetric(s: np.ndarray, tol: float) -> bool:
+    s = symmetrize(op, dist)
     return bool(np.linalg.norm(s - s.T) <= tol * np.linalg.norm(s))
 
 

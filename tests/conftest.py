@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bgft
+from bgft import linalg
 
 
 def random_digraph(n, seed, density=0.5, floor=0.05):
@@ -43,6 +44,30 @@ def birth_death_chain(n, r):
     a = np.diag(np.full(n - 1, r), 1) + np.diag(np.full(n - 1, 1.0 - r), -1)
     a[0, 0], a[-1, -1] = 1.0 - r, r
     return bgft.DirectedGraph(a)
+
+
+def dgeev_decomposition(m):
+    """eig_general's dgeev result for m, whichever route eig_general takes:
+    LAPACK's eig under the same conventions."""
+    m = linalg.as_matrix(m)
+    lam, v = np.linalg.eig(m)
+    return linalg._conventional_basis(m, lam.astype(complex), v.astype(complex, order="F"),
+                                      None, "geev")
+
+
+def counted(monkeypatch, module, name, refuse=lambda *args: False):
+    """Wrap module.name to count its calls, raising AssertionError on a call
+    whose arguments refuse accepts; returns the list of call arguments."""
+    fn, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        if refuse(*args):
+            raise AssertionError(f"{name} called with refused arguments")
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,16 @@
-"""TransitionOperator.eig's two routes: reversible chains go to eigh of the
-symmetrized operator, every other chain to eig_general, and the reversible
-route agrees with eig_general wherever both apply."""
+"""TransitionOperator.eig is eig_general's: reversible chains go to eigh of
+the symmetrized operator, every other chain to the normal split or dgeev, and
+the eigh route agrees with dgeev wherever both apply."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 import bgft
-from bgft import linalg, markov
+from bgft import linalg
 from bgft.errors import DefectiveMatrixError, NotIrreducibleError
 
-from conftest import random_digraph, random_reversible_graph
+from conftest import counted, dgeev_decomposition, random_digraph, random_reversible_graph
 
 AGREE_TOL = 1e-10
 
@@ -38,15 +38,15 @@ def rank1_bipartite(seed):
 
 
 def geev_operator(p):
-    """An operator whose cached eig is eig_general's, whatever the chain."""
+    """An operator whose cached eig is dgeev's, whatever the chain."""
     op = bgft.TransitionOperator(p=p)
-    op.__dict__["eig"] = linalg.eig_general(p)
+    op.__dict__["eig"] = dgeev_decomposition(p)
     return op
 
 
 def relative_differences(op):
     """Largest relative differences of the mode-ordered eigenvalues and of
-    cond_v between op's own decomposition and eig_general's, and, for either
+    cond_v between op's own decomposition and dgeev's, and, for either
     decomposition, of its sum-normalized lambda = 1 row of U* from
     stationary's pi."""
     ref = geev_operator(op.p)
@@ -103,12 +103,6 @@ class TestSolverChoice:
         assert dec.left_dual.dtype == np.complex128
         assert np.linalg.norm(dec.left_dual @ dec.right_vectors - np.eye(16)) <= 1e-12
 
-    @pytest.mark.parametrize("s, d", [(np.eye(3), [1.0, 0.0, 1.0]),
-                                      (np.eye(2), [1.0, 1.0, 1.0])])
-    def test_eig_symmetrized_checks_its_arguments(self, s, d):
-        with pytest.raises(ValueError):
-            linalg.eig_symmetrized(np.eye(3), s, d)
-
 
 class TestAgreementWithEigGeneral:
     @pytest.mark.parametrize("family", [weighted_4cycle, rank1_bipartite])
@@ -137,18 +131,18 @@ class TestAgreementWithEigGeneral:
         assert op.eig.residual <= linalg.DEFECTIVE_TOL * max(1.0, np.linalg.norm(op.p))
         assert np.all(np.array(relative_differences(op)) <= AGREE_TOL)
 
-    def test_eigh_residual_above_roundoff_goes_to_geev(self):
-        # Edge weights off by 1e-10 still pass the symmetry test, but S's
-        # asymmetry puts eigh's eigenpairs 1e-11 off P's.
+    def test_eigh_residual_above_roundoff_goes_to_geev(self, monkeypatch):
+        # Edge weights off by 1e-11 leave S asymmetric by 2.9e-11, within
+        # linalg.NORMAL_TOL, so eigh runs; but that asymmetry puts eigh's
+        # eigenpairs about 1000 units off P's, and dgeev's result is kept.
         a = random_reversible_graph(64, 3).adjacency.copy()
         edges = a != 0
-        a[edges] += 1e-10 * np.random.default_rng(0).random(np.count_nonzero(edges))
+        a[edges] += 1e-11 * np.random.default_rng(0).random(np.count_nonzero(edges))
         op = bgft.transition(bgft.DirectedGraph(a))
-        form = markov._symmetric_form(op)
-        assert form is not None
-        unit = 64 * np.finfo(float).eps * max(1.0, np.linalg.norm(op.p))
-        assert linalg.eig_symmetrized(op.p, *form).residual > 100 * unit
+        eigh_calls = counted(monkeypatch, np.linalg, "eigh")
         assert op.eig.solver == "geev"
+        assert len(eigh_calls) == 1
+        unit = 64 * np.finfo(float).eps * max(1.0, np.linalg.norm(op.p))
         assert op.eig.residual <= unit
         lam_diff, pi_diff, cond_diff = relative_differences(op)
         assert lam_diff == cond_diff == 0 and pi_diff <= AGREE_TOL
@@ -167,9 +161,9 @@ class TestAgreementWithEigGeneral:
 
 class TestFailuresUnchanged:
     def test_two_disjoint_undirected_cycles(self):
-        # The candidate pi of a singular solve is roundoff noise on one
-        # cycle, so the chain takes geev; stationary refuses it by its own
-        # exact test, a zero censored row sum.
+        # The balancing tree reaches one cycle only, so the symmetrized
+        # route refuses the chain; stationary refuses it by its own exact
+        # test, a zero censored row sum.
         a = np.zeros((10, 10))
         a[:5, :5] = bgft.undirected_cycle(5).adjacency
         a[5:, 5:] = bgft.undirected_cycle(5).adjacency

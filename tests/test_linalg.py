@@ -6,7 +6,8 @@ import bgft
 from bgft import linalg
 from bgft.errors import DefectiveMatrixError, InvalidSizeError
 
-from conftest import random_digraph
+from conftest import (birth_death_chain, counted, dgeev_decomposition, random_digraph,
+                      random_reversible_graph)
 
 
 def directed_torus(*shape):
@@ -70,28 +71,6 @@ def multiset_distance(a, b):
     return worst
 
 
-def dgeev_decomposition(m, monkeypatch):
-    """eig_general(m) with the normal route switched off: dgeev's result."""
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_normal_route", lambda m: None)
-        return bgft.eig_general(m)
-
-
-def counted(monkeypatch, module, name, refuse=lambda *args: False):
-    """Wrap module.name to count its calls, raising AssertionError on a call
-    whose arguments refuse accepts; returns the list of call arguments."""
-    fn, calls = getattr(module, name), []
-
-    def wrapper(*args, **kwargs):
-        if refuse(*args):
-            raise AssertionError(f"{name} called with refused arguments")
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 NORMAL_INPUTS = {
     **{f"directed-cycle-{n}": (lambda n=n: bgft.transition(bgft.directed_cycle(n)).p)
        for n in (3, 4, 16, 256)},
@@ -139,7 +118,7 @@ class TestNormalRoute:
         # runs and gives its own result.
         p = make()
         assert linalg.commutator_norm(p) <= linalg.NORMAL_TOL * np.linalg.norm(p) ** 2
-        ref = dgeev_decomposition(p, monkeypatch)
+        ref = dgeev_decomposition(p)
         eigh_calls = counted(monkeypatch, np.linalg, "eigh")
         eig_calls = counted(monkeypatch, np.linalg, "eig")
         dec = bgft.eig_general(p)
@@ -165,11 +144,63 @@ class TestNormalRoute:
     def test_screen_passing_non_normal_never_reaches_eigh(self, seed, monkeypatch):
         m = signed_symmetric(8, seed)
         assert_allclose(np.linalg.norm(m, axis=1), np.linalg.norm(m, axis=0), rtol=1e-15)
-        ref = dgeev_decomposition(m, monkeypatch)
+        ref = dgeev_decomposition(m)
         counted(monkeypatch, np.linalg, "eigh", refuse=lambda *args: True)
         dec = bgft.eig_general(m)
         for field in ("eigenvalues", "right_vectors", "left_dual"):
             assert_array_equal(getattr(dec, field), getattr(ref, field))
+
+
+BIRTH_DEATH_CASES = [(12, 0.1), (20, 0.1), (30, 0.1), (40, 0.2), (60, 0.3), (200, 0.4)]
+
+
+def two_disjoint_cycles():
+    a = np.zeros((10, 10))
+    a[:5, :5] = a[5:, 5:] = bgft.undirected_cycle(5).adjacency
+    return bgft.transition(bgft.DirectedGraph(a)).p
+
+
+class TestSymmetrizedRoute:
+    """A real m that a positive diagonal similarity makes symmetric takes
+    eigh of S = D m D^{-1}, with D from detailed balance along a tree."""
+
+    @pytest.mark.parametrize("n, r", BIRTH_DEATH_CASES)
+    def test_balancing_diagonal_is_birth_death_pi(self, n, r):
+        d = linalg._balancing_diagonal(bgft.transition(birth_death_chain(n, r)).p)
+        pi = (r / (1 - r)) ** np.arange(n)
+        pi /= pi.sum()
+        assert_allclose(d ** 2 / np.sum(d ** 2), pi, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_balancing_diagonal_is_stationary_pi(self, n):
+        op = bgft.transition(random_reversible_graph(n, 8))
+        d = linalg._balancing_diagonal(op.p)
+        assert_allclose(d ** 2 / np.sum(d ** 2), bgft.stationary(op).pi, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bgft.transition(bgft.directed_cycle(8)).p,  # asymmetric support
+        two_disjoint_cycles,  # node 5..9 unreached
+        lambda: signed_symmetric(8, 0),  # some m_ij / m_ji < 0
+        # d_j^2 = 1e-10^j underflows to 0 from j = 33 on
+        lambda: bgft.transition(birth_death_chain(40, 1e-10)).p,
+    ], ids=["directed-cycle", "disjoint-cycles", "signed-symmetric", "underflow"])
+    def test_balancing_diagonal_refused(self, make):
+        assert linalg._balancing_diagonal(make()) is None
+
+    def test_refused_try_falls_back_to_dgeev(self, monkeypatch):
+        # eigh runs, but the dual check of its V raises: dgeev then runs on
+        # the full matrix and raises its own error, as if eigh never ran.
+        p = bgft.transition(birth_death_chain(40, 0.2)).p
+        with pytest.raises(DefectiveMatrixError) as ref:
+            dgeev_decomposition(p)
+        eigh_calls = counted(monkeypatch, np.linalg, "eigh")
+        eig_calls = counted(monkeypatch, np.linalg, "eig")
+        with pytest.raises(DefectiveMatrixError) as err:
+            bgft.eig_general(p)
+        assert len(eigh_calls) == 1
+        assert [np.shape(args[0]) for args in eig_calls] == [p.shape]
+        assert str(err.value) == str(ref.value)
+        assert "dual residual=3.182e+02" in str(err.value)
 
 
 class TestEigGeneral:

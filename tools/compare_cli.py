@@ -12,12 +12,15 @@ exit status, stdout, stderr and any --out file.  The list covers the five
 subcommands, all three formats, the three generated graphs, both graph file
 formats, the README examples and the rejections the CLI can reach.  It
 prints the number of argvs and every argv whose results differ, and exits 1
-on any difference.
+on any difference.  For each differing argv it also prints how: the largest
+relative difference between the numbers, when every differing output is
+the same text but for its numbers, else "text differs".
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +30,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
+# A decimal number as the CLI prints it, inf and nan included.
+NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 N = 64  # the CLI's default --n, so the README examples read the same signals
 FORMATS = ("table", "csv", "json")
 
@@ -172,9 +177,40 @@ def run(src: Path, argv: list, d: Path, out: Path) -> tuple:
 
 
 def compare(old: Path, new: Path, argv_list: list, d: Path) -> list:
-    """The argvs of argv_list whose results differ between the two trees."""
-    return [argv for argv in argv_list
-            if run(old, argv, d, d / "old.out") != run(new, argv, d, d / "new.out")]
+    """(argv, how they differ) for each argv of argv_list whose results
+    differ between the two trees."""
+    out = []
+    for argv in argv_list:
+        a, b = run(old, argv, d, d / "old.out"), run(new, argv, d, d / "new.out")
+        if a != b:
+            out.append((argv, how_differ(a, b)))
+    return out
+
+
+def how_differ(old: tuple, new: tuple) -> str:
+    """The largest relative and absolute differences between the numbers of
+    two results, if every part that differs is the same text but for its
+    numbers, else "text differs".  A number printed at roundoff level (a
+    relative error of 1e-16) differs relatively by O(1) at roundoff, so the
+    absolute difference is printed too."""
+    rel = abs_ = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        if not (isinstance(a, bytes) and isinstance(b, bytes)
+                and NUMBER.split(a) == NUMBER.split(b)):
+            return "text differs"
+        x = np.array([float(v) for v in NUMBER.findall(a)])
+        y = np.array([float(v) for v in NUMBER.findall(b)])
+        same = (x == y) | (np.isnan(x) & np.isnan(y))
+        with np.errstate(all="ignore"):
+            diff = np.abs(x - y)
+            pair = (diff, diff / np.maximum(np.abs(x), np.abs(y)))
+        # A nan or inf against any other value differs by inf.
+        diff, rel_diff = (np.where(same, 0.0, np.nan_to_num(v, nan=np.inf, posinf=np.inf))
+                          for v in pair)
+        rel, abs_ = max(rel, float(np.max(rel_diff))), max(abs_, float(np.max(diff)))
+    return f"numbers differ by at most {rel:.2e} relative, {abs_:.2e} absolute"
 
 
 def main(args) -> int:
@@ -187,8 +223,8 @@ def main(args) -> int:
         d = Path(tmp)
         write_inputs(d)
         differ = compare(old, new, argv_list, d)
-    for argv in differ:
-        print("differs:", " ".join(argv))
+    for argv, how in differ:
+        print("differs:", " ".join(argv), "--", how)
     print(f"{len(differ)} of {len(argv_list)} argvs differ")
     return 1 if differ else 0
 
