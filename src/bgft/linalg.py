@@ -184,9 +184,9 @@ def _kept(m, lam, v, u, solver: str) -> EigenDecomposition | None:
 
 def _symmetrized_route(m) -> EigenDecomposition | None:
     """eig_general's decomposition of a real m = D^{-1} S D, with D = diag(d)
-    from _balancing_diagonal and ||S - S^T||_F <= NORMAL_TOL ||S||_F (a
-    reversible chain, with d = sqrt(pi) up to scale); None for any other m,
-    or when _kept refuses the result.
+    from _balancing_diagonal, ||S||_F finite and ||S - S^T||_F <=
+    NORMAL_TOL ||S||_F (a reversible chain, with d = sqrt(pi) up to scale);
+    None for any other m, or when _kept refuses the result.
 
     eigh of (S + S^T) / 2 gives S = Q diag(lambda) Q^T, so V = D^{-1} Q and
     U* = Q^T D, with no inverse; V stays real until it is returned.  The
@@ -196,9 +196,11 @@ def _symmetrized_route(m) -> EigenDecomposition | None:
     d = _balancing_diagonal(m)
     if d is None:
         return None
-    s = d[:, None] * m / d
-    if np.linalg.norm(s - s.T) > NORMAL_TOL * np.linalg.norm(s):
-        return None
+    with np.errstate(all="ignore"):
+        s = d[:, None] * m / d
+        s_norm = np.linalg.norm(s)
+        if not (np.isfinite(s_norm) and np.linalg.norm(s - s.T) <= NORMAL_TOL * s_norm):
+            return None
     lam, q = np.linalg.eigh((s + s.T) / 2)
     return _kept(m, lam, q / d[:, None], q.T * d, "eigh")
 

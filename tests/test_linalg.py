@@ -202,6 +202,20 @@ class TestSymmetrizedRoute:
         assert str(err.value) == str(ref.value)
         assert "dual residual=3.182e+02" in str(err.value)
 
+    def test_overflowing_s_refused_before_eigh(self, monkeypatch):
+        # Finite, with symmetric support and d = (1, 1e150, 1e150), but
+        # S = D m D^-1 overflows to inf at (1, 2), where ||S - S^T||_F <=
+        # NORMAL_TOL * ||S||_F would read inf <= inf.
+        m = np.array([[0, 1e300, 1e300], [1, 0, 1e300], [1, 1, 0]])
+        assert_allclose(linalg._balancing_diagonal(m), [1, 1e150, 1e150])
+        with np.errstate(all="ignore"):
+            with pytest.raises(DefectiveMatrixError) as ref:
+                dgeev_decomposition(m)
+            counted(monkeypatch, np.linalg, "eigh", refuse=lambda *args: True)
+            with pytest.raises(DefectiveMatrixError) as err:
+                bgft.eig_general(m)
+        assert str(err.value) == str(ref.value)
+
 
 class TestEigGeneral:
     def test_identity(self):
@@ -280,21 +294,24 @@ class TestEigGeneral:
 
     def test_parallel_eigenvectors_of_repeated_eigenvalue(self):
         # dgeev returns parallel vectors for the 4-cycle's double eigenvalue
-        # 0.  This P is symmetric, so eig_general splits it through eigh
-        # (the normal route) and never gives it to dgeev.
+        # 0 (cond ~ 9e17).  Being reversible, this chain takes the
+        # symmetrized route in eig_general, so dgeev's result is built here
+        # directly: the cluster basis comes from the null space of P.
         p = bgft.transition(bgft.undirected_cycle(4)).p
-        dec = bgft.eig_general(p)
-        assert dec.cond_v == pytest.approx(1.0, abs=1e-12)
-        assert dec.residual <= 1e-14
-        assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
-        # The same happens on the 4-cycle with edge weights (1, 2, 2, 1):
-        # reversible, but P is not normal, so dgeev runs and the cluster
-        # basis comes from the null space of P instead.  Without the
-        # null-space basis it reads cond_v ~ 8e7.
+        assert np.linalg.cond(np.linalg.eig(p)[1]) > 1e12
+        for dec in (bgft.eig_general(p), dgeev_decomposition(p)):
+            assert dec.cond_v == pytest.approx(1.0, abs=1e-12)
+            assert dec.residual <= 1e-14
+            assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
+        # The same on the 4-cycle with edge weights (1, 2, 2, 1), whose P
+        # is not normal.  Without the null-space basis dgeev's result reads
+        # cond_v ~ 8e7.
         a = np.zeros((4, 4))
         for i, w in enumerate((1, 2, 2, 1)):
             a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = w
-        dec = bgft.eig_general(bgft.transition(bgft.DirectedGraph(a)).p)
+        p = bgft.transition(bgft.DirectedGraph(a)).p
+        assert np.linalg.cond(np.linalg.eig(p)[1]) > 1e6
+        dec = dgeev_decomposition(p)
         assert dec.cond_v <= 1.5
         assert dec.residual <= 1e-14
         assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
