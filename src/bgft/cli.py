@@ -233,7 +233,8 @@ def check_trial(k, m, n, noise) -> None:
 
 def run_reconstruction(basis, k, m, noise, seed):
     """One seeded sampling/reconstruction trial; returns the report.  The
-    caller has passed k, m and noise through check_trial."""
+    caller has passed k, m and noise through check_trial.  BgftError when
+    the norm of the noise vector overflows, though each sample is finite."""
     omega = sampling.select_band(basis, k)
     x = sampling.random_bandlimited(basis, omega, 1000 * seed + SEED_SIGNAL)
     m_set = sampling.random_sampling_set(basis.n, m, 1000 * seed + SEED_SAMPLES)
@@ -243,7 +244,10 @@ def run_reconstruction(basis, k, m, noise, seed):
         rng = np.random.default_rng(1000 * seed + SEED_NOISE)
         eta = noise * rng.standard_normal(m)
         y = y + eta
-        eta_norm = float(np.linalg.norm(eta))
+        with np.errstate(over="ignore"):
+            eta_norm = float(np.linalg.norm(eta))
+        if not math.isfinite(eta_norm):
+            raise BgftError(f"--noise is too large: the noise vector's norm overflows, got {noise}")
     return sampling.reconstruct(basis, omega, m_set, y, x_true=x, eta_norm=eta_norm)
 
 

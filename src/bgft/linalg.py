@@ -14,11 +14,10 @@ ordering, unit-norm phase-fixed eigenvector columns, re-orthonormalized
 degenerate clusters, and explicit detection of numerically defective input.
 
 eig_general is the one eigensolver and makes the one choice of solver: eigh
-for a reversible chain (any matrix a positive diagonal similarity makes
-symmetric), an eigh-based split for a normal matrix, LAPACK's general eig
-(dgeev) for the rest.  The basis of a degenerate cluster is arbitrary (only
-its span is determined), so the routes may return different V for a
-repeated eigenvalue, with the same cond_v.
+for an m = D^{-1} S D with S normal (a reversible chain, or a normal m with
+D = I), LAPACK's general eig (dgeev) for the rest.  The basis of a
+degenerate cluster is arbitrary (only its span is determined), so the routes
+may return different V for a repeated eigenvalue, with the same cond_v.
 
 Sizes up to n = 512 are supported and tested; larger inputs work but are
 limited only by memory and O(n^3) runtime.
@@ -39,17 +38,18 @@ CLUSTER_TOL = 1e-8
 DEFECTIVE_TOL = 1e-6
 # Relative singular-value cutoff used for rank decisions everywhere.
 RANK_RCOND = 1e-12
-# A decomposition built from eigh (eig_general's symmetrized route or normal
-# split) is kept only when its residual against the matrix is at most this
-# multiple of n * eps * max(1, ||M||_F) (residual_bound).  Clean reversible
-# chains measured at most 1.5 of that unit (the 600 seeded families, n up to
-# 512); one whose edge weights are off by 1e-11 passes the symmetry test but
-# measures about 1000, and goes on to the next route.
+# A decomposition built by _eigh_route is kept only when its residual against
+# the matrix is at most this multiple of n * eps * max(1, ||M||_F)
+# (residual_bound).  Clean reversible chains measured at most 1.5 of that
+# unit (the 600 seeded families, n up to 512); one whose edge weights are
+# off by 1e-11 passes the symmetry test but measures about 1000, and goes on
+# to dgeev.
 EIGH_RESIDUAL_FACTOR = 16
-# The one tolerance that admits an eigh-built route: the symmetrized route
-# needs ||S - S^T||_F <= NORMAL_TOL * ||S||_F, the normal split
-# ||m m^T - m^T m||_F <= NORMAL_TOL * ||m||_F^2.  It only admits the attempt:
-# the residual bound decides.
+# The one tolerance of detailed balance and normality.  _eigh_route admits a
+# symmetrizing D when ||S - S^T||_F <= NORMAL_TOL * ||S||_F (the test that
+# markov.is_reversible also makes), else D = I when ||m m^T - m^T m||_F <=
+# NORMAL_TOL * ||m||_F^2.  It only admits the attempt: the residual bound
+# decides.
 NORMAL_TOL = 1e-10
 
 
@@ -99,8 +99,8 @@ class EigenDecomposition:
     right_vectors has unit-norm columns; left_dual is its exact inverse, so
     left_dual @ right_vectors = I up to roundoff.  cond_v is the 2-norm
     condition number of right_vectors; residual is ||M V - V Lambda||_F.
-    solver names eig_general's route: "eigh" (the symmetrized route) or
-    "geev" (dgeev or the normal split).
+    solver names eig_general's route: "eigh" (_eigh_route on a symmetrizable
+    m) or "geev" (dgeev, or _eigh_route's split of a normal m).
     """
 
     eigenvalues: np.ndarray
@@ -128,23 +128,21 @@ class LeastSquaresSolution:
 
 def eig_general(m) -> EigenDecomposition:
     """Eigendecomposition of a square matrix with deterministic output; the
-    conventions are _conventional_basis's.  A real m gets three tries:
+    conventions are _conventional_basis's.  A real m gets two tries:
 
-    1. _symmetrized_route: a reversible chain, or any m that a positive
-       diagonal similarity makes symmetric, goes to eigh ("eigh").
-    2. _normal_route: an m that is normal to roundoff is split through eigh
-       of (m + m^T) / 2, then batched eig of small blocks ("geev").  Francis
-       QR converges slowly on a unitary Hessenberg matrix, so this matters
-       most for the directed cycle: 139 -> 33 ms at n = 256 and 642 -> 143
-       ms at n = 512 (min of 5, 2-core Xeon, OpenBLAS 0.3.31).
-    3. LAPACK's eig (dgeev for real m) gives the eigenpairs, and U* = V^{-1}
+    1. _eigh_route, for an m = D^{-1} S D with S normal to roundoff: "eigh"
+       when a positive diagonal D makes S symmetric (a reversible chain),
+       "geev" for any other normal m.  No inverse is taken.  Francis QR
+       converges slowly on a unitary Hessenberg matrix, so this matters for
+       the directed cycle: 139 -> 33 ms at n = 256 and 642 -> 143 ms at
+       n = 512 (min of 5, 2-core Xeon, OpenBLAS 0.3.31).
+    2. LAPACK's eig (dgeev for real m) gives the eigenpairs, and U* = V^{-1}
        is an explicit inverse ("geev").  A cluster whose QR block is not
        invariant (LAPACK may return parallel vectors for a repeated
        eigenvalue: the weighted 4-cycle's double 0) takes its basis from
        the null space of M - mean(lambda) I instead, under the same check.
 
-    An eigh-built result that _kept refuses passes m on to the next try.
-    Complex m, and any m that neither eigh-built route keeps, give dgeev's
+    Complex m, and any m that _eigh_route does not keep, give dgeev's
     result bit for bit; most non-normal, non-reversible m pay only O(n^2)
     screens.
 
@@ -155,7 +153,7 @@ def eig_general(m) -> EigenDecomposition:
     if m.shape[0] != m.shape[1]:
         raise ValueError("eig_general requires a square matrix")
     if not np.iscomplexobj(m):
-        dec = _symmetrized_route(m) or _normal_route(m)
+        dec = _eigh_route(m)
         if dec is not None:
             return dec
     lam, v = np.linalg.eig(m)
@@ -171,38 +169,57 @@ def residual_bound(m) -> float:
     return EIGH_RESIDUAL_FACTOR * m.shape[0] * np.finfo(float).eps * max(1.0, np.linalg.norm(m))
 
 
-def _kept(m, lam, v, u, solver: str) -> EigenDecomposition | None:
-    """_conventional_basis's decomposition of eigh-built eigenpairs, or None
-    ("try the next route") if it raises DefectiveMatrixError or its
-    residual is above residual_bound(m)."""
+def _eigh_route(m) -> EigenDecomposition | None:
+    """eig_general's decomposition of a real m = D^{-1} S D with S normal to
+    roundoff; None for any other m, or if the result raises
+    DefectiveMatrixError or its residual is above residual_bound(m).
+
+    D = diag(d) from _balancing_diagonal if S is finite and ||S - S^T||_F <=
+    NORMAL_TOL ||S||_F (a reversible chain; "eigh"), else D = I if
+    _is_normal(m) ("geev").  eigh of (S + S^T) / 2 gives Q diag(w) Q^T; a
+    symmetric S is done, V_S = Q.  Otherwise runs of w within CLUSTER_TOL
+    span invariant subspaces of S, and each run's block Q_c^T S Q_c (2 x 2
+    for a conjugate pair, kept exactly conjugate) is split by eig, one
+    batched call per block size.  A normal block's eigenspaces are
+    orthogonal, so a QR of its eigenvectors Y keeps each column in its own
+    and makes V_S = Q_c Y unitary, where eig's Y need not be (the directed
+    torus).  V = D^{-1} V_S and U* = V_S^H D: no inverse is taken.
+    """
+    d = _balancing_diagonal(m)
+    if d is not None:
+        with np.errstate(all="ignore"):
+            s = d[:, None] * m / d
+            s_norm = np.linalg.norm(s)
+            if not (np.isfinite(s_norm) and np.linalg.norm(s - s.T) <= NORMAL_TOL * s_norm):
+                d = None
+    if d is None:
+        if not _is_normal(m):
+            return None
+        s = m
+    w, q = np.linalg.eigh((s + s.T) / 2)
+    if d is not None:
+        lam, v, u = w, q / d[:, None], q.T * d
+    else:
+        sq = s @ q
+        starts = np.flatnonzero(np.r_[True, np.diff(w) > CLUSTER_TOL])
+        sizes = np.diff(np.r_[starts, w.size])
+        lam = np.empty(w.size, complex)
+        v = np.empty(q.shape, complex, order="F")
+        for k in np.unique(sizes):
+            cols = starts[sizes == k, None] + np.arange(k)
+            qc = q[:, cols]
+            blocks = np.einsum("ick,icl->ckl", qc, sq[:, cols])
+            if k == 1:
+                lam[cols], v[:, cols] = blocks[:, 0], qc
+                continue
+            mu, y = np.linalg.eig(blocks)
+            lam[cols], v[:, cols] = mu, np.einsum("ick,ckl->icl", qc, np.linalg.qr(y)[0])
+        u = v.conj().T
     try:
-        dec = _conventional_basis(m, lam, v, u, solver)
+        dec = _conventional_basis(m, lam, v, u, "eigh" if d is not None else "geev")
     except DefectiveMatrixError:
         return None
     return dec if dec.residual <= residual_bound(m) else None
-
-
-def _symmetrized_route(m) -> EigenDecomposition | None:
-    """eig_general's decomposition of a real m = D^{-1} S D, with D = diag(d)
-    from _balancing_diagonal, ||S||_F finite and ||S - S^T||_F <=
-    NORMAL_TOL ||S||_F (a reversible chain, with d = sqrt(pi) up to scale);
-    None for any other m, or when _kept refuses the result.
-
-    eigh of (S + S^T) / 2 gives S = Q diag(lambda) Q^T, so V = D^{-1} Q and
-    U* = Q^T D, with no inverse; V stays real until it is returned.  The
-    residual is taken against m itself, so a matrix that is symmetric by
-    similarity only up to a small error reports that error there.
-    """
-    d = _balancing_diagonal(m)
-    if d is None:
-        return None
-    with np.errstate(all="ignore"):
-        s = d[:, None] * m / d
-        s_norm = np.linalg.norm(s)
-        if not (np.isfinite(s_norm) and np.linalg.norm(s - s.T) <= NORMAL_TOL * s_norm):
-            return None
-    lam, q = np.linalg.eigh((s + s.T) / 2)
-    return _kept(m, lam, q / d[:, None], q.T * d, "eigh")
 
 
 def _balancing_diagonal(m) -> np.ndarray | None:
@@ -237,38 +254,6 @@ def _balancing_diagonal(m) -> np.ndarray | None:
     return d
 
 
-def _normal_route(m) -> EigenDecomposition | None:
-    """eig_general's decomposition of a real m that is normal to roundoff,
-    without dgeev; None for any other m, or when _kept refuses the result.
-
-    A normal m shares its eigenvectors with its symmetric part, so eigh of
-    (m + m^T) / 2 gives an orthonormal Q whose runs of eigenvalues within
-    CLUSTER_TOL span invariant subspaces of m.  The block Q_c^T m Q_c of
-    each run (2 x 2 for a conjugate pair) is split by LAPACK's eig, one
-    batched call per block size, and V = Q_c Y.  Real blocks keep conjugate
-    pairs exactly conjugate, as dgeev does.
-    """
-    if not _is_normal(m):
-        return None
-    n = m.shape[0]
-    w, q = np.linalg.eigh((m + m.T) / 2)
-    mq = m @ q
-    starts = np.flatnonzero(np.r_[True, np.diff(w) > CLUSTER_TOL])
-    sizes = np.diff(np.r_[starts, n])
-    lam = np.empty(n, complex)
-    v = np.empty((n, n), complex, order="F")
-    for k in np.unique(sizes):
-        cols = starts[sizes == k, None] + np.arange(k)
-        qc = q[:, cols]
-        blocks = np.einsum("ick,icl->ckl", qc, mq[:, cols])
-        if k == 1:
-            lam[cols], v[:, cols] = blocks[:, 0], qc
-            continue
-        mu, y = np.linalg.eig(blocks)
-        lam[cols], v[:, cols] = mu, np.einsum("ick,ckl->icl", qc, y)
-    return _kept(m, lam, v, None, "geev")
-
-
 def _is_normal(m) -> bool:
     """commutator_norm(m) <= NORMAL_TOL * ||m||_F^2 for a real m.  The
     diagonal of m m^T - m^T m, the difference of the squared row and column
@@ -288,9 +273,10 @@ def commutator_norm(m) -> float:
 
 def _conventional_basis(m, lam, v, u, solver: str) -> EigenDecomposition:
     """The conventions every route of eig_general shares, applied to M's
-    eigenpairs (lam, v) and, for the symmetrized route, the left dual u
-    (None otherwise, which takes it as inv(v) at the end).  v and u are changed in place, so that
-    no second n x n copy of either is alive during the checks.
+    eigenpairs (lam, v) and, from _eigh_route, the left dual u (None from
+    dgeev, which takes it as inv(v) at the end).  v and u are changed in
+    place, so that no second n x n copy of either is alive during the
+    checks.
 
     Eigenvalues are sorted by descending real part, ties broken by ascending
     imaginary part.  Each eigenvalue joins the degenerate cluster of the

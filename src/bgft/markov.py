@@ -1,7 +1,7 @@
 """Random-walk operators: P and I - P, stationary distribution, reversibility
 machinery, and the asymmetry / non-normality indices.  The eigensolver
-decision, eigh for a reversible P or LAPACK's general eig, is
-linalg.eig_general's."""
+decision, an eigh-built route for a reversible or normal P or LAPACK's
+general eig, is linalg.eig_general's."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from . import linalg
 from .errors import NotIrreducibleError, SinkNodeError
 from .graphs import DirectedGraph, out_degrees
 
-REVERSIBILITY_TOL = 1e-10
 # apply uses the row view of a P with at most n^2 / ROW_VIEW_DENSITY nonzeros
 # (2 per row at n = 64, 8 at n = 256, 16 at n = 512), the dense matvec
 # otherwise.  Measured by tools/matvec_crossover.py: at n >= 256 the view
@@ -170,11 +169,12 @@ def stationary(op: TransitionOperator) -> StationaryDistribution:
 def is_reversible(
     op: TransitionOperator,
     dist: StationaryDistribution,
-    tol: float = REVERSIBILITY_TOL,
+    tol: float = linalg.NORMAL_TOL,
 ) -> bool:
     """Detailed-balance test: S = symmetrize(op, dist) is symmetric,
-    ||S - S^T||_F <= tol ||S||_F for a finite tol >= 0.  S - S^T is
-    Pi P - P^T Pi scaled by Pi^{-1/2} on each side, so, unlike a tolerance
+    ||S - S^T||_F <= tol ||S||_F for a finite tol >= 0, by default
+    linalg.NORMAL_TOL, the one eig_general admits eigh by.  S - S^T is Pi P
+    - P^T Pi scaled by Pi^{-1/2} on each side, so, unlike a tolerance
     relative to ||Pi P||, this sees pi entries at roundoff level.
     ValueError for a bad tol or a dist.pi that is not op.n finite positive
     entries."""

@@ -84,7 +84,8 @@ class BgftBasis:
 class FilterSpec:
     """Scalar spectral response: response(basis) is h(lambda) at each
     eigenvalue, in basis index order.  Constructors:
-      heat(tau):          h(lambda) = exp(-tau * (1 - lambda)), finite tau >= 0
+      heat(tau):          h(lambda) = exp(-tau * (1 - lambda)), finite tau >= 0,
+                          with Re(1 - lambda) clamped at 0
       ideal_lowpass(k):   1 on the k slowest modes (basis order), else 0
       custom(samples):    finite 1-d table h(lambda_k), one per mode, basis index order
     """
@@ -96,7 +97,14 @@ class FilterSpec:
         if not (np.isfinite(tau) and tau >= 0):
             raise ValueError(f"heat filter needs a finite tau >= 0, got {tau}")
         tau = float(tau)
-        return FilterSpec(lambda basis: np.exp(-tau * (1.0 - basis.eigenvalues)))
+
+        def response(basis: BgftBasis) -> np.ndarray:
+            # Re(1 - lambda) >= 0 as |lambda| <= 1: roundoff may not grow a mode.
+            rate = 1.0 - basis.eigenvalues
+            rate.real = np.maximum(rate.real, 0.0)
+            return np.exp(-tau * rate)
+
+        return FilterSpec(response)
 
     @staticmethod
     def ideal_lowpass(k: int) -> "FilterSpec":

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,17 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and message.replace("{tmp}", str(tmp_path)) in err
+
+    @pytest.mark.parametrize("command", [["reconstruct", "--n", "3"], ["table1", "--n", "16"]])
+    def test_noise_norm_overflow(self, command, capsys):
+        # Each noise entry is finite, but the noise vector's norm overflows:
+        # one error line, and no numpy warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + ["--k", "2", "--m", "3", "--noise", "1e200"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --noise is too large: the noise vector's norm overflows, got 1e+200\n"
 
     def test_generated_graph_over_cap(self, no_transition, capsys):
         # Refused before the transition operator is built: without the cap

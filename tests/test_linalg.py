@@ -44,6 +44,18 @@ def weighted_circulant(n, seed):
     return a
 
 
+def biased_cycle(n, forward):
+    """P of the n-cycle stepping forward with probability `forward`, back
+    otherwise: a circulant, so normal.  Its support is symmetric, so
+    _balancing_diagonal finds a d along its tree, but the chain is not
+    reversible, so S = D P D^{-1} is not symmetric."""
+    p = np.zeros((n, n))
+    rows = np.arange(n)
+    p[rows, (rows + 1) % n] = forward
+    p[rows, (rows - 1) % n] = 1.0 - forward
+    return p
+
+
 def signed_symmetric(n, seed):
     """|m_ij| = |m_ji| with independent random signs: each row has the 2-norm
     of the matching column, so the O(n^2) screen passes, but m is not normal."""
@@ -79,18 +91,20 @@ NORMAL_INPUTS = {
        for shape in [(3, 3), (4, 4), (6, 6), (12, 12), (4, 4, 4)]},
     **{f"weighted-circulant-{seed}": (lambda seed=seed: weighted_circulant(24, seed))
        for seed in range(3)},
+    "biased-cycle-32": lambda: biased_cycle(32, 0.7),
 }
 
 
 class TestNormalRoute:
     """A real normal m takes eigh of its symmetric part and one batched eig
-    per block size, never dgeev on m itself."""
+    per block size, never dgeev on m itself, and U* = V^H, never inv(V)."""
 
     @staticmethod
     def check_normal_route(m, monkeypatch):
         ref = np.linalg.eig(m)[0]
         with monkeypatch.context() as patch:
             counted(patch, np.linalg, "eig", refuse=lambda a, *rest: np.ndim(a) == 2)
+            counted(patch, np.linalg, "inv", refuse=lambda *args: True)
             dec = bgft.eig_general(m)
         lam = dec.eigenvalues
         assert dec.solver == "geev"

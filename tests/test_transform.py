@@ -205,6 +205,15 @@ class TestFilters:
         out = bgft.apply_filter(basis, FilterSpec.heat(2.0), ones)
         assert np.linalg.norm(out - ones) <= 1e-8 * np.sqrt(64)
 
+    @pytest.mark.parametrize("tau", [1e12, 1e15, 1e17])
+    def test_heat_never_amplifies(self, tau, canonical_bases):
+        # exp(-tau (I - P)) is nonnegative and row-stochastic, so ||H x||_inf
+        # <= ||x||_inf, even where roundoff puts an eigenvalue just above 1.
+        x = np.arange(64.0)
+        for name, (_, basis) in canonical_bases.items():
+            out = bgft.apply_filter(basis, FilterSpec.heat(tau), x)
+            assert np.max(np.abs(out)) <= np.max(np.abs(x)) * (1 + 1e-9), name
+
     def test_diagonal_action(self, property_suite):
         for _, basis in property_suite[:6]:
             spec = FilterSpec.heat(2.0)
