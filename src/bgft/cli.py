@@ -108,7 +108,7 @@ def load_input(args) -> tuple:
     else:
         g = generate_graph(args.graph, args.n, args.eps, args.chord_src, args.chord_dst)
     if "k" in args:
-        check_trial(args.k, args.m, g.n, args.noise)
+        check_trial(args.k, args.m, g.n, args.noise, args.seed)
     x = None
     if "signal" in args:
         x = read_signal(args.signal)
@@ -223,32 +223,37 @@ def resolve_seed(flag) -> int:
     return seed
 
 
-def check_trial(k, m, n, noise) -> None:
-    """The sampling trial's sizes and noise level; needs no basis."""
+def noise_vector(m, noise, seed) -> np.ndarray:
+    """The sampling trial's m noise samples, drawn from the seed."""
+    return noise * np.random.default_rng(1000 * seed + SEED_NOISE).standard_normal(m)
+
+
+def check_trial(k, m, n, noise, seed) -> None:
+    """The sampling trial's sizes, noise level and noise vector; needs no
+    basis.  BgftError when the noise vector's norm overflows, though each
+    sample is finite.  An m above MAX_NODES draws nothing: table1 refuses
+    its n only later, when it builds its first graph."""
     if not (1 <= k <= m <= n):
         raise BgftError(f"need 1 <= K <= m <= n, got K={k} m={m} n={n}")
     if not (math.isfinite(noise) and noise >= 0):
         raise BgftError(f"--noise must be finite and >= 0, got {noise}")
+    if m <= graphs.MAX_NODES:
+        with np.errstate(over="ignore"):
+            eta_norm = float(np.linalg.norm(noise_vector(m, noise, seed)))
+        if not math.isfinite(eta_norm):
+            raise BgftError(f"--noise is too large: the noise vector's norm overflows, got {noise}")
 
 
 def run_reconstruction(basis, k, m, noise, seed):
     """One seeded sampling/reconstruction trial; returns the report.  The
-    caller has passed k, m and noise through check_trial.  BgftError when
-    the norm of the noise vector overflows, though each sample is finite."""
+    caller has passed k, m, noise and seed through check_trial."""
     omega = sampling.select_band(basis, k)
     x = sampling.random_bandlimited(basis, omega, 1000 * seed + SEED_SIGNAL)
     m_set = sampling.random_sampling_set(basis.n, m, 1000 * seed + SEED_SAMPLES)
     y = sampling.sample(x, m_set)
-    eta_norm = 0.0
-    if noise > 0:
-        rng = np.random.default_rng(1000 * seed + SEED_NOISE)
-        eta = noise * rng.standard_normal(m)
-        y = y + eta
-        with np.errstate(over="ignore"):
-            eta_norm = float(np.linalg.norm(eta))
-        if not math.isfinite(eta_norm):
-            raise BgftError(f"--noise is too large: the noise vector's norm overflows, got {noise}")
-    return sampling.reconstruct(basis, omega, m_set, y, x_true=x, eta_norm=eta_norm)
+    eta = noise_vector(m, noise, seed)
+    return sampling.reconstruct(basis, omega, m_set, y + eta, x_true=x,
+                                eta_norm=float(np.linalg.norm(eta)))
 
 
 def cmd_reconstruct(args, stream) -> None:
@@ -266,7 +271,7 @@ def cmd_reconstruct(args, stream) -> None:
 
 
 def cmd_table1(args, stream) -> None:
-    check_trial(args.k, args.m, args.n, args.noise)
+    check_trial(args.k, args.m, args.n, args.noise, args.seed)
     records = []
     for kind in GRAPH_KINDS:
         name = f"{kind}(eps={args.eps:g})" if kind == "perturbed-cycle" else kind

@@ -119,13 +119,15 @@ class TestIndices:
         assert dict(zip(header.split(), row.split()))["reversible"] == "False"
 
     def test_widely_spread_pi_reversible(self, tmp_path, capsys):
-        # birth-death n=12, r=0.1: pi spreads over 3.1e10, and detailed
-        # balance holds to roundoff with stationary's pi
+        # birth-death chains: pi spreads over 3.1e10 (n=12, r=0.1) to 3.0e23
+        # (n=40, r=0.2), and detailed balance holds to roundoff with
+        # stationary's pi
         gpath = tmp_path / "bd.edges"
-        bgft.save_edge_list(birth_death_chain(12, 0.1), gpath)
-        assert main(["indices", "--graph", "file", "--input", str(gpath)]) == 0
-        header, row = capsys.readouterr().out.splitlines()
-        assert dict(zip(header.split(), row.split()))["reversible"] == "True"
+        for n, r in [(12, 0.1), (20, 0.1), (40, 0.2), (60, 0.3)]:
+            bgft.save_edge_list(birth_death_chain(n, r), gpath)
+            assert main(["indices", "--graph", "file", "--input", str(gpath)]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            assert dict(zip(header.split(), row.split()))["reversible"] == "True"
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -327,9 +329,14 @@ class TestBadInput:
         assert err.startswith("error: ") and message.replace("{tmp}", str(tmp_path)) in err
 
     @pytest.mark.parametrize("command", [["reconstruct", "--n", "3"], ["table1", "--n", "16"]])
-    def test_noise_norm_overflow(self, command, capsys):
+    def test_noise_norm_overflow(self, command, monkeypatch, capsys):
         # Each noise entry is finite, but the noise vector's norm overflows:
-        # one error line, and no numpy warning on the way.
+        # one error line, before any decomposition, and no numpy warning on
+        # the way.
+        def eig_general(m):
+            raise AssertionError(f"eig_general called for n={len(m)}")
+
+        monkeypatch.setattr(bgft.linalg, "eig_general", eig_general)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(command + ["--k", "2", "--m", "3", "--noise", "1e200"]) == 1

@@ -92,17 +92,27 @@ class TestSolverChoice:
             assert (dec.cond_v, dec.residual) == (ref.cond_v, ref.residual)
 
     def test_eigh_route_needs_no_lapack_eig_or_inverse(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("called on the eigh route")
-
-        monkeypatch.setattr(np.linalg, "eig", refused)
-        monkeypatch.setattr(np.linalg, "inv", refused)
-        op = bgft.transition(random_reversible_graph(16, 4))
-        dec = op.eig
-        assert dec.solver == "eigh"
-        assert dec.eigenvalues.dtype == dec.right_vectors.dtype == np.complex128
-        assert dec.left_dual.dtype == np.complex128
-        assert np.linalg.norm(dec.left_dual @ dec.right_vectors - np.eye(16)) <= 1e-12
+        # The second chain joins two copies of a 6-node chain, one with its
+        # weights x4, by an edge of weight 1e-6: near-degenerate pairs with
+        # non-uniform pi, whose QR'd cluster bases are not invariant, so
+        # eigh's own vectors are kept.
+        a = np.zeros((12, 12))
+        a[:6, :6] = random_reversible_graph(6, 2).adjacency
+        a[6:, 6:] = 4 * a[:6, :6]
+        a[0, 6] = a[6, 0] = 1e-6
+        for g, n in [(random_reversible_graph(16, 4), 16), (bgft.DirectedGraph(a), 12)]:
+            op = bgft.transition(g)
+            ref = dgeev_decomposition(op.p)
+            with monkeypatch.context() as patch:
+                counted(patch, np.linalg, "eig", refuse=lambda *args: True)
+                counted(patch, np.linalg, "inv", refuse=lambda *args: True)
+                dec = op.eig
+            assert dec.solver == "eigh"
+            assert dec.eigenvalues.dtype == dec.right_vectors.dtype == np.complex128
+            assert dec.left_dual.dtype == np.complex128
+            assert np.linalg.norm(dec.left_dual @ dec.right_vectors - np.eye(n)) <= 1e-12
+            assert dec.residual <= linalg.residual_bound(op.p)
+            assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-14
 
 
 class TestAgreementWithEigGeneral:

@@ -124,7 +124,7 @@ class TestNormalRoute:
         # The split's residual is ~135 times residual_bound.
         near_normal_cycle,
         # Eigenvalues 2e-8 apart, coupled by 1e-5: the split's residual is
-        # above DEFECTIVE_TOL, so it raises, while dgeev gives cond_v 1e3.
+        # far above residual_bound, while dgeev gives cond_v 1e3.
         lambda: np.array([[1.0, 1e-5], [0.0, 1.0 + 2e-8]]),
     ], ids=["residual-above-bound", "split-defective"])
     def test_near_normal_takes_dgeev(self, make, monkeypatch):
@@ -201,20 +201,24 @@ class TestSymmetrizedRoute:
     def test_balancing_diagonal_refused(self, make):
         assert linalg._balancing_diagonal(make()) is None
 
-    def test_refused_try_falls_back_to_dgeev(self, monkeypatch):
-        # eigh runs, but the dual check of its V raises: dgeev then runs on
-        # the full matrix and raises its own error, as if eigh never ran.
-        p = bgft.transition(birth_death_chain(40, 0.2)).p
-        with pytest.raises(DefectiveMatrixError) as ref:
-            dgeev_decomposition(p)
-        eigh_calls = counted(monkeypatch, np.linalg, "eigh")
-        eig_calls = counted(monkeypatch, np.linalg, "eig")
-        with pytest.raises(DefectiveMatrixError) as err:
-            bgft.eig_general(p)
-        assert len(eigh_calls) == 1
-        assert [np.shape(args[0]) for args in eig_calls] == [p.shape]
-        assert str(err.value) == str(ref.value)
-        assert "dual residual=3.182e+02" in str(err.value)
+    @pytest.mark.parametrize("n, r", BIRTH_DEATH_CASES)
+    def test_birth_death_chain_never_reaches_dgeev(self, n, r, monkeypatch):
+        # eigh's residual in the S frame is at roundoff on every chain, so
+        # its result is kept.  At n = 30 and 200 the Euclidean V is
+        # numerically singular, and that raises without a dgeev retry,
+        # whose V would have the same singular values.
+        p = bgft.transition(birth_death_chain(n, r)).p
+        counted(monkeypatch, np.linalg, "eig", refuse=lambda *args: True)
+        if n in (30, 200):
+            with pytest.raises(DefectiveMatrixError, match=(
+                    r"^eigenvector matrix is numerically singular: sigma_min/sigma_max = "
+                    r"\S+ <= RANK_RCOND = 1e-12$")):
+                bgft.eig_general(p)
+            return
+        dec = bgft.eig_general(p)
+        assert dec.solver == "eigh"
+        closed = np.r_[1.0, 2 * np.sqrt(r * (1 - r)) * np.cos(np.pi * np.arange(1, n) / n)]
+        assert_allclose(dec.eigenvalues, np.sort(closed)[::-1], rtol=0, atol=1e-14)
 
     def test_overflowing_s_refused_before_eigh(self, monkeypatch):
         # Finite, with symmetric support and d = (1, 1e150, 1e150), but

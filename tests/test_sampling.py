@@ -265,6 +265,10 @@ class TestSamplingSets:
             bgft.random_sampling_set(10, 11, 0)
         with pytest.raises(InvalidSizeError):
             bgft.random_sampling_set(10, 0, 0)
+        for make in (lambda: bgft.SamplingSet(()), lambda: bgft.SamplingSet((1, 1)),
+                     lambda: bgft.BandSupport(()), lambda: bgft.BandSupport((3, 3))):
+            with pytest.raises(InvalidSizeError, match="must be nonempty and distinct"):
+                make()
 
     @pytest.mark.parametrize("size", [2.5, np.float64(2.0)])
     def test_non_integer_size_rejected(self, perturbed_basis, size):

@@ -3,16 +3,16 @@
     python tools/compare_cli.py OLD_SRC NEW_SRC
 
 Each SRC is a directory holding the bgft package (a checkout's src/).  The
-script writes its inputs to a temporary directory: two edge lists, three
+script writes its inputs to a temporary directory: an edge list, three
 Matrix Market files written by scipy.io.mmwrite (real general, real
-symmetric and pattern), a real and a complex signal file, and the malformed
-files the rejections read.  It runs a fixed list of argvs
-as `python -m bgft.cli` under each tree, with BGFT_SEED unset, and compares
-exit status, stdout, stderr and any --out file.  The list covers the five
-subcommands, all three formats, the three generated graphs, both graph file
-formats, the README examples and the rejections the CLI can reach.  It
-prints the number of argvs and every argv whose results differ, and exits 1
-on any difference.  For each differing argv it also prints how: the largest
+symmetric and pattern), six birth-death edge lists (BIRTH_DEATH), a real
+and a complex signal file, and the malformed files the rejections read.  It
+runs a fixed list of argvs as `python -m bgft.cli` under each tree, with
+BGFT_SEED unset, and compares exit status, stdout, stderr and any --out
+file.  The list covers the five subcommands, all three formats, the three
+generated graphs, both graph file formats, the README examples and the
+rejections the CLI can reach.  It prints the number of argvs and every
+argv whose results differ, and exits 1 on any difference.  For each differing argv it also prints how: the largest
 relative difference between the numbers, when every differing output is
 the same text but for its numbers, else "text differs".
 """
@@ -34,6 +34,10 @@ import scipy.sparse
 NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 N = 64  # the CLI's default --n, so the README examples read the same signals
 FORMATS = ("table", "csv", "json")
+# Birth-death paths (n, r) stepping right with probability r and left with
+# 1 - r: reversible, with pi spread over ((1 - r) / r)^(n - 1), from 3.1e10
+# (n = 12) to 1.1e35 (n = 200).  The tests' BIRTH_DEATH_CASES.
+BIRTH_DEATH = [(12, 0.1), (20, 0.1), (30, 0.1), (40, 0.2), (60, 0.3), (200, 0.4)]
 
 # Malformed inputs for the rejections, by file name.
 BAD_FILES = {
@@ -81,8 +85,7 @@ def write_edge_list(a: np.ndarray, path: Path) -> None:
 
 def write_inputs(d: Path) -> None:
     """The graph and signal files the argvs name, all for N nodes but the
-    birth-death path: n=12 stepping right with probability 0.1, reversible,
-    with pi spread over 3.1e10."""
+    birth-death paths."""
     rng = np.random.default_rng(7)
     a = np.roll(np.eye(N), 1, axis=1)  # directed cycle, so no node is a sink
     a += rng.random((N, N)) * (rng.random((N, N)) < 0.1)
@@ -91,9 +94,10 @@ def write_inputs(d: Path) -> None:
     scipy.io.mmwrite(str(d / "symmetric.mtx"), scipy.sparse.coo_matrix(a + a.T),
                      symmetry="symmetric")
     scipy.io.mmwrite(str(d / "pattern.mtx"), scipy.sparse.coo_matrix(a > 0), field="pattern")
-    bd = np.diag(np.full(11, 0.1), 1) + np.diag(np.full(11, 0.9), -1)
-    bd[0, 0], bd[-1, -1] = 0.9, 0.1
-    write_edge_list(bd, d / "birth-death.edges")
+    for n, r in BIRTH_DEATH:
+        bd = np.diag(np.full(n - 1, r), 1) + np.diag(np.full(n - 1, 1.0 - r), -1)
+        bd[0, 0], bd[-1, -1] = 1.0 - r, r
+        write_edge_list(bd, d / f"birth-death-{n}.edges")
     x = rng.standard_normal(N)
     (d / "x.sig").write_text("".join(f"{v!r}\n" for v in x.tolist()))
     z = x + 1j * rng.standard_normal(N)
@@ -128,7 +132,8 @@ def argvs() -> list:
             ]
     out += [["table1", "--n", "16", "--eps", "5", "--k", "3", "--m", "6", "--format", fmt]
             for fmt in FORMATS]
-    out += [["indices", "--graph", "file", "--input", "{d}/birth-death.edges"]]
+    out += [["indices", "--graph", "file", "--input", f"{{d}}/birth-death-{n}.edges"]
+            for n, _ in BIRTH_DEATH]
     out += [  # the README examples
         ["indices", "--graph", "perturbed-cycle"],
         ["filter", "{d}/x.sig", "--tau", "2", "--out", "{out}"],
