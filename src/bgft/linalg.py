@@ -183,10 +183,10 @@ def _eigh_route(m) -> EigenDecomposition | None:
     orthogonal, so a QR of its eigenvectors Y keeps each column in its own
     and makes V_S = Q_c Y unitary, where eig's Y need not be (the directed
     torus).  The residual is taken in the S frame, where eigh is accurate,
-    from the one product S Q and before V = D^{-1} V_S and U* = V_S^H D are
-    built: no inverse is taken, and U* V = V_S^H V_S.  A numerically
-    singular V then raises: unit columns fix V up to phases and both routes
-    QR each cluster, so dgeev's V would have the same singular values.
+    from the one product S Q (a split run, with B_c its block, adds ||S Q_c -
+    Q_c B_c|| and ||B_c - Y diag(mu) Y^H|| in quadrature, as Q and Y are
+    orthonormal), before V = D^{-1} V_S and U* = V_S^H D are built.  A singular V then
+    raises: with unit columns and a QR per cluster, dgeev's V is no better.
     """
     d = _balancing_diagonal(m)
     if d is not None:
@@ -200,10 +200,10 @@ def _eigh_route(m) -> EigenDecomposition | None:
             return None
         s = m
     w, q = np.linalg.eigh((s + s.T) / 2)
-    sq = s @ q
     if d is not None:
-        lam, residual = w, np.linalg.norm(sq - q * w)
+        lam, residual = w, np.linalg.norm(s @ q - q * w)
     else:
+        sq = s @ q
         starts = np.flatnonzero(np.r_[True, np.diff(w) > CLUSTER_TOL])
         sizes = np.diff(np.r_[starts, w.size])
         lam = np.empty(w.size, complex)
@@ -211,16 +211,18 @@ def _eigh_route(m) -> EigenDecomposition | None:
         residual = 0.0
         for k in np.unique(sizes):
             cols = starts[sizes == k, None] + np.arange(k)
-            qc, sqc = q[:, cols], sq[:, cols]
-            blocks = np.einsum("ick,icl->ckl", qc, sqc)
+            qc = q[:, cols]
+            blocks = np.einsum("ick,icl->ckl", qc, sq[:, cols])
+            residual = np.hypot(residual, np.linalg.norm(
+                np.einsum("ick,ckl->icl", qc, blocks) - sq[:, cols]))
             if k == 1:
                 lam[cols], v[:, cols] = blocks[:, 0], qc
-            else:
-                mu, y = np.linalg.eig(blocks)
-                y = np.linalg.qr(y)[0]
-                lam[cols], v[:, cols] = mu, np.einsum("ick,ckl->icl", qc, y)
-                sqc = np.einsum("ick,ckl->icl", sqc, y)
-            residual = np.hypot(residual, np.linalg.norm(sqc - v[:, cols] * lam[cols]))
+                continue
+            mu, y = np.linalg.eig(blocks)
+            y = np.linalg.qr(y)[0]
+            lam[cols], v[:, cols] = mu, np.einsum("ick,ckl->icl", qc, y)
+            residual = np.hypot(residual, np.linalg.norm(
+                blocks - (y * mu[:, None]) @ y.conj().transpose(0, 2, 1)))
     if residual > residual_bound(s):
         return None
     if d is not None:
