@@ -164,7 +164,7 @@ def eig_general(m) -> EigenDecomposition:
 
 def residual_bound(m) -> float:
     """EIGH_RESIDUAL_FACTOR * n * eps * max(1, ||m||_F): the largest residual
-    at which _eigh_route keeps eigh's eigenpairs of m (the S of its m)."""
+    at which _eigh_route keeps the eigenpairs of an S equal to m."""
     return EIGH_RESIDUAL_FACTOR * m.shape[0] * np.finfo(float).eps * max(1.0, np.linalg.norm(m))
 
 
@@ -185,8 +185,9 @@ def _eigh_route(m) -> EigenDecomposition | None:
     torus).  The residual is taken in the S frame, where eigh is accurate,
     from the one product S Q (a split run, with B_c its block, adds ||S Q_c -
     Q_c B_c|| and ||B_c - Y diag(mu) Y^H|| in quadrature, as Q and Y are
-    orthonormal), before V = D^{-1} V_S and U* = V_S^H D are built.  A singular V then
-    raises: with unit columns and a QR per cluster, dgeev's V is no better.
+    orthonormal), before V = D^{-1} V_S and U* = V_S^H D are built.  A
+    singular V then raises: with unit columns and a QR per cluster, dgeev's
+    V is no better.
     """
     d = _balancing_diagonal(m)
     if d is not None:
@@ -281,7 +282,7 @@ def commutator_norm(m) -> float:
 
 def _conventional_basis(m, lam, v, u, solver: str) -> EigenDecomposition:
     """The conventions every route of eig_general shares, applied to M's
-    eigenpairs (lam, v) and, from _eigh_route, the left dual u, with u v =
+    eigenpairs (lam, v) and, from _eigh_route, the left dual u, whose u v is
     V_S^H V_S.  dgeev passes None: only its u is taken as inv(v), at the
     end, and checked by the dual residual.  v and u are changed in place, so
     that no second n x n copy of either is alive during the checks.
