@@ -6,7 +6,10 @@ class BgftError(Exception):
 
 
 class DefectiveMatrixError(BgftError):
-    """Matrix is numerically non-diagonalizable (no reliable biorthogonal basis)."""
+    """Matrix is numerically non-diagonalizable, or its eigenvector matrix V
+    is too ill-conditioned to use (numerically singular, or its inverse
+    fails the dual residual, as dgeev's V of a diagonalizable birth-death
+    chain can): no reliable biorthogonal basis."""
 
 
 class SinkNodeError(BgftError):

@@ -199,18 +199,18 @@ def _add_entries(a, fh, dtype, offset: int, symmetric: bool = False) -> int:
 
 
 def _header_node_count(line: str) -> int | None:
-    """N of a `# nodes N` line with 1 <= N <= MAX_NODES, else None."""
-    line = line.strip()
-    if not line.startswith("#"):
-        return None
-    parts = line[1:].split()
-    if len(parts) != 2 or parts[0] != "nodes":
+    """N of a `# nodes N` line, None for a line that is no such header.
+    Raises ValueError if N is not an integer in 1..MAX_NODES."""
+    parts = line.strip()[1:].split()
+    if not line.lstrip().startswith("#") or len(parts) != 2 or parts[0] != "nodes":
         return None
     try:
         nodes = int(parts[1])
     except ValueError:
-        return None
-    return nodes if 1 <= nodes <= MAX_NODES else None
+        raise ValueError("bad node count")
+    if not 1 <= nodes <= MAX_NODES:
+        raise ValueError(f"node count {nodes} outside 1..MAX_NODES={MAX_NODES}")
+    return nodes
 
 
 def _load_edge_list_strict(path) -> DirectedGraph:
@@ -223,17 +223,12 @@ def _load_edge_list_strict(path) -> DirectedGraph:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "nodes":
-                    try:
-                        nodes = int(parts[1])
-                    except ValueError:
-                        raise EdgeListParseError(path, lineno, "bad node count")
-                    if not 1 <= nodes <= MAX_NODES:
-                        raise EdgeListParseError(
-                            path, lineno,
-                            f"node count {nodes} outside 1..MAX_NODES={MAX_NODES}",
-                        )
+                try:
+                    header = _header_node_count(line)
+                except ValueError as e:
+                    raise EdgeListParseError(path, lineno, str(e))
+                if header is not None:
+                    nodes = header
                     if top > nodes:
                         raise EdgeListParseError(
                             path, lineno, f"node index {top - 1} >= node count {nodes}"

@@ -10,14 +10,16 @@ Counts (t, k, m) pass through as_count: integers of any type, numpy's too,
 pass and floats are refused.  Eigenvalues and eigenvectors are always
 returned as complex128.  The kernels here wrap LAPACK via numpy but enforce
 the conventions the rest of the toolkit relies on: deterministic eigenvalue
-ordering, unit-norm phase-fixed eigenvector columns, re-orthonormalized
-degenerate clusters, and explicit detection of numerically defective input.
+ordering, unit-norm phase-fixed eigenvector columns, dgeev's degenerate
+clusters re-orthonormalized, and explicit detection of numerically defective
+input.
 
 eig_general is the one eigensolver and makes the one choice of solver: eigh
 for an m = D^{-1} S D with S normal (a reversible chain, or a normal m with
 D = I), LAPACK's general eig (dgeev) for the rest.  The basis of a
-degenerate cluster is arbitrary (only its span is determined), so the routes
-may return different V for a repeated eigenvalue, with the same cond_v.
+degenerate cluster is arbitrary (only its span is determined): eigh's is
+orthonormal in the inner product of D^2 (pi up to scale), dgeev's after a
+Euclidean QR, so the routes may return different V and cond_v for one.
 
 Sizes up to n = 512 are supported and tested; larger inputs work but are
 limited only by memory and O(n^3) runtime.
@@ -96,11 +98,14 @@ def as_count(value, what: str, low: int, high: int | None = None, error=ValueErr
 class EigenDecomposition:
     """Biorthogonal eigendecomposition M = V diag(eigenvalues) left_dual.
 
-    right_vectors has unit-norm columns; left_dual is its exact inverse, so
-    left_dual @ right_vectors = I up to roundoff.  cond_v is the 2-norm
-    condition number of right_vectors; residual is ||M V - V Lambda||_F.
-    solver names eig_general's route: "eigh" (_eigh_route on a symmetrizable
-    m) or "geev" (dgeev, or _eigh_route's split of a normal m).
+    right_vectors has unit-norm columns; left_dual is the inverse of V on
+    dgeev's result, and V's adjoint in D^2 (the pi inner product on a
+    reversible chain), equal to the inverse up to roundoff, on _eigh_route's.
+    cond_v is the 2-norm condition number of right_vectors; on each route
+    residual is the Euclidean ||M V - V Lambda||_F of the returned V (the
+    S-frame residual decides the eigh route).  solver names eig_general's
+    route: "eigh" (_eigh_route on a symmetrizable m) or "geev" (dgeev, or
+    _eigh_route's split of a normal m).
     """
 
     eigenvalues: np.ndarray
@@ -185,9 +190,9 @@ def _eigh_route(m) -> EigenDecomposition | None:
     torus).  The residual is taken in the S frame, where eigh is accurate,
     from the one product S Q (a split run, with B_c its block, adds ||S Q_c -
     Q_c B_c|| and ||B_c - Y diag(mu) Y^H|| in quadrature, as Q and Y are
-    orthonormal), before V = D^{-1} V_S and U* = V_S^H D are built.  A
-    singular V then raises: with unit columns and a QR per cluster, dgeev's
-    V is no better.
+    orthonormal), before V = D^{-1} V_S is built; _conventional_basis takes
+    U* as its adjoint in D^2.  A singular V then raises: on a simple spectrum
+    unit columns fix V up to phases, so dgeev's V is no better.
     """
     d = _balancing_diagonal(m)
     if d is not None:
@@ -227,8 +232,8 @@ def _eigh_route(m) -> EigenDecomposition | None:
     if residual > residual_bound(s):
         return None
     if d is not None:
-        return _conventional_basis(m, lam, q / d[:, None], q.T * d, "eigh")
-    return _conventional_basis(m, lam, v, v.conj().T, "geev")
+        return _conventional_basis(m, lam, q / d[:, None], d * d, "eigh")
+    return _conventional_basis(m, lam, v, np.ones(m.shape[0]), "geev")
 
 
 def _balancing_diagonal(m) -> np.ndarray | None:
@@ -280,66 +285,57 @@ def commutator_norm(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m))
 
 
-def _conventional_basis(m, lam, v, u, solver: str) -> EigenDecomposition:
+def _conventional_basis(m, lam, v, w, solver: str) -> EigenDecomposition:
     """The conventions every route of eig_general shares, applied to M's
-    eigenpairs (lam, v) and, from _eigh_route, the left dual u, whose u v is
-    V_S^H V_S.  dgeev passes None: only its u is taken as inv(v), at the
-    end, and checked by the dual residual.  v and u are changed in place, so
-    that no second n x n copy of either is alive during the checks.
+    eigenpairs (lam, v).  _eigh_route passes the weights w (d^2, or 1 on the
+    normal split) in whose inner product its v is orthonormal, and U* is V's
+    adjoint in it, u_k = v_k^H W / (v_k^H W v_k).  dgeev passes None: its u
+    is inv(v), checked by the dual residual.  v is changed in place, so that
+    no second n x n copy of it is alive during the checks.
 
     Eigenvalues are sorted by descending real part, ties broken by ascending
-    imaginary part.  Each eigenvalue joins the degenerate cluster of the
-    first eigenvalue within CLUSTER_TOL of it (by distance, not by sort
-    position); each cluster's eigenvector block is re-orthonormalized by a
-    Euclidean QR (rows of u follow through R), so that normal matrices get
-    cond_v ~= 1 whatever basis the solver chose for the cluster.  Columns
-    have unit norm, which fixes cond(V); the phase is fixed so that the
-    largest-magnitude entry is positive real.  The phase rule leaves cond(V)
-    unchanged (a unit-modulus column scaling is unitary), but it fixes V
-    itself, U*, and the seeded signals built from V.
+    imaginary part.  On dgeev's result only, each eigenvalue joins the
+    degenerate cluster of the first eigenvalue within CLUSTER_TOL of it (by
+    distance, not by sort position), and each cluster's eigenvector block is
+    re-orthonormalized by a Euclidean QR, so that normal matrices get cond_v
+    ~= 1 whatever basis LAPACK chose for the cluster (on _eigh_route's, it
+    would break orthogonality in W).  Columns have unit norm, which fixes
+    cond(V); the phase is fixed so that the largest-magnitude entry is
+    positive real.  The phase rule leaves cond(V) unchanged (a unit-modulus
+    column scaling is unitary), but it fixes V itself, U*, and the seeded
+    signals built from V.
     """
     n = m.shape[0]
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
     v[:] = v[:, order]
-    if u is not None:
-        u[:] = u[order]
-
-    # Roundoff in Re(lambda) can sort a conjugate between two copies of one
-    # eigenvalue (the directed torus), so sort neighbours are not enough to
-    # find a cluster; the label is the first eigenvalue within CLUSTER_TOL.
-    # A cluster of merely close (not equal) eigenvalues has distinct
-    # eigendirections that QR would destroy, so the swap is kept only when
-    # the block residual stays at roundoff level.
     m_norm = np.linalg.norm(m)
 
-    def invariant(q, mu):
-        block_residual = np.linalg.norm(m @ q - q * mu)
-        return block_residual <= 1e-10 * max(1.0, m_norm)
+    if w is None:
+        # Roundoff in Re(lambda) can sort a conjugate between two copies of
+        # one eigenvalue, so sort neighbours are not enough to find a
+        # cluster; the label is the first eigenvalue within CLUSTER_TOL.  A
+        # cluster of merely close (not equal) eigenvalues has distinct
+        # eigendirections that QR would destroy, so the swap is kept only
+        # when the block residual stays at roundoff level.
+        def invariant(q, mu):
+            return np.linalg.norm(m @ q - q * mu) <= 1e-10 * max(1.0, m_norm)
 
-    labels = (np.abs(lam[:, None] - lam) <= CLUSTER_TOL).argmax(axis=1)
-    for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
-        idx = np.flatnonzero(labels == label)
-        mu = lam[idx]
-        q, r = np.linalg.qr(v[:, idx])
-        if not invariant(q, mu):
-            if u is not None:
-                continue  # eigh's own vectors are kept
-            shifted = m - np.mean(mu) * np.eye(n)
-            q = np.linalg.svd(shifted)[2][-idx.size:].conj().T
+        labels = (np.abs(lam[:, None] - lam) <= CLUSTER_TOL).argmax(axis=1)
+        for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
+            idx = np.flatnonzero(labels == label)
+            mu = lam[idx]
+            q = np.linalg.qr(v[:, idx])[0]
             if not invariant(q, mu):
-                continue
-        v[:, idx] = q
-        if u is not None:
-            u[idx] = r @ u[idx]
+                shifted = m - np.mean(mu) * np.eye(n)
+                q = np.linalg.svd(shifted)[2][-idx.size:].conj().T
+                if not invariant(q, mu):
+                    continue
+            v[:, idx] = q
 
-    scale = np.linalg.norm(v, axis=0)
-    v /= scale
+    v /= np.linalg.norm(v, axis=0)
     pivot = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
-    phase = np.conj(pivot) / np.abs(pivot)
-    v *= phase
-    if u is not None:
-        u *= (scale * np.conj(phase))[:, None]
+    v *= np.conj(pivot) / np.abs(pivot)
 
     sigma = np.linalg.svd(v, compute_uv=False)
     if sigma[-1] <= RANK_RCOND * sigma[0]:
@@ -350,11 +346,15 @@ def _conventional_basis(m, lam, v, u, solver: str) -> EigenDecomposition:
     residual = float(np.linalg.norm(m @ v - v * lam))
     defective = residual > DEFECTIVE_TOL * max(1.0, m_norm)
     detail = f"residual={residual:.3e}"
-    if u is None:
+    if w is None:
         u = np.linalg.inv(v)
         dual_residual = float(np.linalg.norm(u @ v - np.eye(n)))
         defective |= dual_residual > DEFECTIVE_TOL
         detail += f", dual residual={dual_residual:.3e}"
+    else:
+        u = np.conj(v.T)
+        u *= w
+        u /= np.einsum("ki,ik->k", u, v)[:, None]
     if defective:
         raise DefectiveMatrixError(f"matrix is numerically non-diagonalizable ({detail})")
     return EigenDecomposition(

@@ -71,9 +71,10 @@ class BgftBasis:
         s_k = ||Pi^{1/2} v_k||, and the singular values (descending) of
         W = Pi^{1/2} V diag(1/s).  W itself is not kept."""
         # Unit-norm columns: the energy identities are invariant under column
-        # scaling, and this choice makes W unitary in the reversible limit
-        # (pi-orthonormal eigenbasis), where the sandwich bounds collapse to
-        # equalities.
+        # scaling, and this choice makes W unitary wherever V is
+        # pi-orthogonal, which it is on every chain eig_general decomposes
+        # by eigh (degenerate clusters included); there the sandwich bounds
+        # collapse to equalities.
         pi = markov.stationary(self.operator).pi
         w = np.sqrt(pi)[:, None] * self.right_vectors
         scale = np.linalg.norm(w, axis=0)

@@ -10,7 +10,8 @@ import bgft
 from bgft import linalg
 from bgft.errors import DefectiveMatrixError, NotIrreducibleError
 
-from conftest import counted, dgeev_decomposition, random_digraph, random_reversible_graph
+from conftest import (birth_death_chain, counted, dgeev_decomposition, random_digraph,
+                      random_reversible_graph)
 
 AGREE_TOL = 1e-10
 
@@ -34,6 +35,14 @@ def rank1_bipartite(seed):
     a = np.zeros((na + nb, na + nb))
     a[:na, na:] = np.outer(x, y)
     a[na:, :na] = a[:na, na:].T
+    return bgft.DirectedGraph(a)
+
+
+def weighted_star(n):
+    """Star joining node 0 to node i by weight i: reversible, with eigenvalue
+    0 of multiplicity n - 2 and a non-uniform pi."""
+    a = np.zeros((n, n))
+    a[0, 1:] = a[1:, 0] = np.arange(1, n)
     return bgft.DirectedGraph(a)
 
 
@@ -94,8 +103,7 @@ class TestSolverChoice:
     def test_eigh_route_needs_no_lapack_eig_or_inverse(self, monkeypatch):
         # The second chain joins two copies of a 6-node chain, one with its
         # weights x4, by an edge of weight 1e-6: near-degenerate pairs with
-        # non-uniform pi, whose QR'd cluster bases are not invariant, so
-        # eigh's own vectors are kept.
+        # non-uniform pi, whose eigenvectors eigh keeps pi-orthonormal.
         a = np.zeros((12, 12))
         a[:6, :6] = random_reversible_graph(6, 2).adjacency
         a[6:, 6:] = 4 * a[:6, :6]
@@ -118,12 +126,20 @@ class TestSolverChoice:
 class TestAgreementWithEigGeneral:
     @pytest.mark.parametrize("family", [weighted_4cycle, rank1_bipartite])
     def test_seeded_reversible_families(self, family):
-        worst = np.zeros(3)
+        # eigh's basis of a degenerate cluster is pi-orthonormal where dgeev's
+        # is QR'd to a Euclidean one, so cond_v agrees only on a simple
+        # spectrum; W = Pi^{1/2} V (unit columns) is unitary on every seed.
+        worst, worst_w = np.zeros(3), 0.0
         for seed in range(300):
             op = bgft.transition(family(seed))
             assert op.eig.solver == "eigh"
-            worst = np.maximum(worst, relative_differences(op))
+            lam_diff, pi_diff, cond_diff = relative_differences(op)
+            simple = np.min(np.diff(np.sort(op.eig.eigenvalues.real))) > linalg.CLUSTER_TOL
+            worst = np.maximum(worst, [lam_diff, pi_diff, cond_diff if simple else 0.0])
+            sw = bgft.decompose(op).pi_metric[2]
+            worst_w = max(worst_w, sw[0] / sw[-1] - 1)
         assert np.all(worst <= AGREE_TOL), worst
+        assert worst_w <= 1e-12
 
     @pytest.mark.parametrize("make", [lambda: random_reversible_graph(64, 11),
                                       lambda: bgft.undirected_cycle(64)])
@@ -158,13 +174,18 @@ class TestAgreementWithEigGeneral:
         lam_diff, pi_diff, cond_diff = relative_differences(op)
         assert lam_diff == cond_diff == 0 and pi_diff <= AGREE_TOL
 
-    def test_energy_sandwich_collapses(self):
-        op = bgft.transition(random_reversible_graph(32, 6))
+    @pytest.mark.parametrize("make", [
+        lambda: random_reversible_graph(32, 6),  # simple spectrum
+        lambda: weighted_star(20),
+        lambda: weighted_star(64),
+        *[lambda seed=seed: rank1_bipartite(seed) for seed in range(5)],
+    ], ids=["random-reversible", "star-20", "star-64",
+            *[f"rank1-bipartite-{seed}" for seed in range(5)]])
+    def test_energy_sandwich_collapses(self, make):
+        op = bgft.transition(make())
         basis = bgft.decompose(op)
         assert basis.eig.solver == "eigh"
-        lam = basis.eigenvalues.real
-        assert np.min(np.diff(np.sort(lam))) > linalg.CLUSTER_TOL  # simple spectrum
-        x = np.random.default_rng(7).standard_normal(32)
+        x = np.random.default_rng(7).standard_normal(basis.n)
         rep = bgft.energy_report(basis, bgft.stationary(op), x)
         assert rep.tv_lower == pytest.approx(rep.tv_upper, rel=1e-12)
         assert rep.tv_pi == pytest.approx(rep.tv_upper, rel=1e-12)
@@ -181,9 +202,16 @@ class TestFailuresUnchanged:
         with pytest.raises(NotIrreducibleError):
             bgft.stationary(bgft.transition(bgft.DirectedGraph(a)))
 
-    def test_jordan_block(self):
-        with pytest.raises(DefectiveMatrixError):
-            bgft.TransitionOperator(p=np.array([[1.0, 1.0], [0.0, 1.0]])).eig
+    @pytest.mark.parametrize("decompose, match", [
+        (lambda: bgft.TransitionOperator(p=np.array([[1.0, 1.0], [0.0, 1.0]])).eig, None),
+        # Diagonalizable, and eig_general takes eigh; dgeev's V of it is too
+        # ill-conditioned for its inverse to pass the dual residual.
+        (lambda: dgeev_decomposition(bgft.transition(birth_death_chain(20, 0.1)).p),
+         "dual residual="),
+    ], ids=["jordan-block", "birth-death-dgeev"])
+    def test_non_diagonalizable(self, decompose, match):
+        with pytest.raises(DefectiveMatrixError, match=match):
+            decompose()
 
     def test_defective_stochastic_chain(self):
         # eigenvalue 1/2 has one eigenvector for multiplicity 2; pi = e_2

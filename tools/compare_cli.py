@@ -5,7 +5,8 @@
 Each SRC is a directory holding the bgft package (a checkout's src/).  The
 script writes its inputs to a temporary directory: an edge list, three
 Matrix Market files written by scipy.io.mmwrite (real general, real
-symmetric and pattern), six birth-death edge lists (BIRTH_DEATH), a real
+symmetric and pattern), six birth-death edge lists (BIRTH_DEATH), the
+edge list of the star joining node 0 to node i by weight i, a real
 and a complex signal file, and the malformed files the rejections read.  It
 runs a fixed list of argvs as `python -m bgft.cli` under each tree, with
 BGFT_SEED unset, and compares exit status, stdout, stderr and any --out
@@ -98,6 +99,9 @@ def write_inputs(d: Path) -> None:
         bd = np.diag(np.full(n - 1, r), 1) + np.diag(np.full(n - 1, 1.0 - r), -1)
         bd[0, 0], bd[-1, -1] = 1.0 - r, r
         write_edge_list(bd, d / f"birth-death-{n}.edges")
+    star = np.zeros((N, N))  # reversible, with a degenerate eigenvalue 0
+    star[0, 1:] = star[1:, 0] = np.arange(1, N)
+    write_edge_list(star, d / "star.edges")
     x = rng.standard_normal(N)
     (d / "x.sig").write_text("".join(f"{v!r}\n" for v in x.tolist()))
     z = x + 1j * rng.standard_normal(N)
@@ -134,6 +138,7 @@ def argvs() -> list:
             for fmt in FORMATS]
     out += [["indices", "--graph", "file", "--input", f"{{d}}/birth-death-{n}.edges"]
             for n, _ in BIRTH_DEATH]
+    out += [["indices", "--graph", "file", "--input", "{d}/star.edges", "--format", "json"]]
     out += [  # the README examples
         ["indices", "--graph", "perturbed-cycle"],
         ["filter", "{d}/x.sig", "--tau", "2", "--out", "{out}"],

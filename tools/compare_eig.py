@@ -5,17 +5,19 @@
 Each SRC is a directory holding the bgft package (a checkout's src/).  A
 child process per tree builds P for the five `analyze` kinds with
 bench/workloads.py's graph builders (imported, not changed) at each size,
-drawing the random graphs and the chord from one seed, and times
+drawing the random graphs and the chord from one seed, and for a sixth
+kind, the star joining node 0 to node i by weight i (reversible, with a
+degenerate eigenvalue 0 and a non-uniform pi).  It times
 linalg.eig_general on each P, --repeats calls in a row after one untimed
 call.  The trees run in the order old, new, new, old, so a drift of the
 machine's speed during the runs weighs on both alike.  For each size and
-kind the script prints each tree's solver label and the min and median
-seconds over its 2 x --repeats calls, then the largest absolute difference
-between the trees' eigenvalues, right vectors V and left duals U* (from
-each tree's first run).  The basis of a
-degenerate cluster is arbitrary, so V and U* may differ by O(1) where the
-trees split one differently; the eigenvalues may not.  It ends with the
-numpy and OpenBLAS versions, and exits 1 if any solver label differs.
+kind the script prints each tree's solver label, cond_v, and the min and
+median seconds over its 2 x --repeats calls, then the largest absolute
+difference between the trees' eigenvalues, right vectors V and left duals
+U* (from each tree's first run).  The basis of a degenerate cluster is
+arbitrary, so V and U* may differ by O(1) where the trees split one
+differently; the eigenvalues may not.  It ends with the numpy and OpenBLAS
+versions, and exits 1 if any solver label differs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIELDS = {"lambda": "eigenvalues", "V": "right_vectors", "U*": "left_dual"}
 
-# Run in the child: every (n, kind)'s solver and seconds on stdout, its
+# Run in the child: every (n, kind)'s solver, cond_v and seconds on stdout, its
 # eigenvalues, V and U* in the .npz named by argv[1].
 CHILD = """
 import json, sys, time
@@ -53,16 +55,18 @@ for n in map(int, sys.argv[4:]):
             n, *workloads.random_chord(n, rng)),
         "random-reversible": workloads.random_reversible(n, rng),
         "random-nonreversible": workloads.random_digraph(n, rng),
+        "star": np.zeros((n, n)),
     }
-    for kind in workloads.KINDS:
-        p = markov.transition(graphs.DirectedGraph(adjacency[kind])).p
+    adjacency["star"][0, 1:] = adjacency["star"][1:, 0] = np.arange(1, n)
+    for kind, a in adjacency.items():
+        p = markov.transition(graphs.DirectedGraph(a)).p
         linalg.eig_general(p)  # untimed: the first calls of a process run slow
         seconds = []
         for _ in range(repeats):
             t0 = time.perf_counter()
             dec = linalg.eig_general(p)
             seconds.append(time.perf_counter() - t0)
-        rows.append([n, kind, dec.solver, seconds])
+        rows.append([n, kind, dec.solver, dec.cond_v, seconds])
         for name in ("eigenvalues", "right_vectors", "left_dual"):
             arrays[f"{n} {kind} {name}"] = getattr(dec, name)
 np.savez(out, **arrays)
@@ -100,12 +104,13 @@ def main(argv) -> int:
         arrays = {tree: dict(np.load(Path(tmp) / f"{i}.npz"))
                   for i, tree in enumerate(("old", "new"))}
     labels_differ = False
-    for j, (n, kind, _, _) in enumerate(res["old"][0]["rows"]):
+    for j, (n, kind, *_) in enumerate(res["old"][0]["rows"]):
         parts = []
         for tree, runs in res.items():
-            solver = runs[0]["rows"][j][2]
-            seconds = [s for r in runs for s in r["rows"][j][3]]
-            parts.append(f"{tree} {solver} {min(seconds) * 1e3:.1f} ms min, "
+            solver, cond_v = runs[0]["rows"][j][2:4]
+            seconds = [s for r in runs for s in r["rows"][j][4]]
+            parts.append(f"{tree} {solver} cond_v {cond_v:.4g}, "
+                         f"{min(seconds) * 1e3:.1f} ms min, "
                          f"{statistics.median(seconds) * 1e3:.1f} ms median")
         labels_differ |= res["old"][0]["rows"][j][2] != res["new"][0]["rows"][j][2]
         key = f"{n} {kind} "
