@@ -46,7 +46,7 @@ def read_signal(path) -> np.ndarray:
     array is float64 when every imaginary part is zero, else complex128.
 
     No graph has more than graphs.MAX_NODES nodes, so reading stops with an
-    error at the first value past that many."""
+    error at the first value past that many.  A norm that overflows is refused."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -73,7 +73,17 @@ def read_signal(path) -> np.ndarray:
     if not values:
         raise BgftError(f"{path}: empty signal file")
     x = np.array(values)
+    if not math.isfinite(_signal_norm(x)):
+        raise BgftError(f"{path}: signal is too large: its norm overflows")
     return x.real.copy() if not x.imag.any() else x
+
+
+def _signal_norm(x) -> float:
+    """||x||_2, inf only where it overflows: an x with entries of modulus 1
+    or more is first scaled, exactly, by a power of two to entries below 1."""
+    with np.errstate(over="ignore"):
+        e = max(0, math.frexp(float(np.max(np.abs(x))))[1])
+        return float(np.ldexp(np.linalg.norm(x * 2.0**-e), e))
 
 
 def write_signal(x, stream) -> None:
@@ -175,8 +185,7 @@ def cmd_filter(args, stream) -> None:
     spec = transform.FilterSpec.heat(args.tau)
     basis, x = load_input(args)
     y = transform.apply_filter(basis, spec, x)
-    print(f"||x||2 = {float(np.linalg.norm(x))!r} ||Hx||2 = {float(np.linalg.norm(y))!r}",
-          file=sys.stderr)
+    print(f"||x||2 = {_signal_norm(x)!r} ||Hx||2 = {_signal_norm(y)!r}", file=sys.stderr)
     write_signal(y, stream)
 
 
@@ -189,14 +198,14 @@ def cmd_diffuse(args, stream) -> None:
     # Iterated here rather than with transform.diffuse_direct, which returns
     # only the last iterate: every step's norm is checked and reported.
     records = []
-    norm0 = np.linalg.norm(x)
+    norm0 = _signal_norm(x)
     cur = x
     for s in range(args.t + 1):
         if s > 0:
             cur = basis.operator.apply(cur)
-        norm = float(np.linalg.norm(cur))
-        bound = transform.iterate_bound(basis, s) * float(norm0)
-        if norm > bound + 1e-8:
+        norm = _signal_norm(cur)
+        bound = transform.iterate_bound(basis, s) * norm0
+        if norm > bound + 1e-8 * max(1.0, bound):  # its roundoff is relative
             raise BgftError(f"iterate norm {norm} exceeds bound {bound} at t={s}")
         records.append((f"t={s}", dict(norm=norm, bound=bound)))
     emit_records(records, args.format, stream)

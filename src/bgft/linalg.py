@@ -36,7 +36,7 @@ from .errors import DefectiveMatrixError
 
 # Eigenvalues closer than this are treated as one degenerate cluster.
 CLUSTER_TOL = 1e-8
-# Residual thresholds beyond which the input is declared defective.
+# Thresholds of dgeev's residuals beyond which the input is declared defective.
 DEFECTIVE_TOL = 1e-6
 # Relative singular-value cutoff used for rank decisions everywhere.
 RANK_RCOND = 1e-12
@@ -101,10 +101,12 @@ class EigenDecomposition:
     right_vectors has unit-norm columns; left_dual is the inverse of V on
     dgeev's result, and V's adjoint in D^2 (the pi inner product on a
     reversible chain), equal to the inverse up to roundoff, on _eigh_route's.
-    cond_v is the 2-norm condition number of right_vectors; on each route
-    residual is the Euclidean ||M V - V Lambda||_F of the returned V (the
-    S-frame residual decides the eigh route).  solver names eig_general's
-    route: "eigh" (_eigh_route on a symmetrizable m) or "geev" (dgeev, or
+    cond_v is the 2-norm condition number of right_vectors; residual is the
+    one that kept the result: dgeev's Euclidean ||M V - V Lambda||_F, or
+    _eigh_route's S-frame ||S V_S - V_S Lambda||_F; the Euclidean one of
+    that V is at most cond(D) = max d / min d times it, to roundoff, and
+    cond(D) ~ 5e11 at a pi spread of 3.0e23.  solver names eig_general's route:
+    "eigh" (_eigh_route on a symmetrizable m) or "geev" (dgeev, or
     _eigh_route's split of a normal m).
     """
 
@@ -149,9 +151,8 @@ def eig_general(m) -> EigenDecomposition:
 
     Complex m, and any m that _eigh_route refuses, give dgeev's result bit
     for bit; most non-normal, non-reversible m pay only O(n^2) screens.
-
-    Raises DefectiveMatrixError, from either try, when _conventional_basis
-    finds V numerically singular or a residual beyond DEFECTIVE_TOL.
+    Raises DefectiveMatrixError when V is numerically singular, or, on
+    dgeev's result only, a residual is beyond DEFECTIVE_TOL.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -164,7 +165,7 @@ def eig_general(m) -> EigenDecomposition:
     # Column-major, the layout a column-permuted copy has: the in-place sort
     # keeps it, and the QR, SVD and inverse that follow round by it.
     v = v.astype(complex, order="F")
-    return _conventional_basis(m, lam.astype(complex), v, None, "geev")
+    return _conventional_basis(m, lam.astype(complex), v, None, None, "geev")
 
 
 def residual_bound(m) -> float:
@@ -190,8 +191,8 @@ def _eigh_route(m) -> EigenDecomposition | None:
     torus).  The residual is taken in the S frame, where eigh is accurate,
     from the one product S Q (a split run, with B_c its block, adds ||S Q_c -
     Q_c B_c|| and ||B_c - Y diag(mu) Y^H|| in quadrature, as Q and Y are
-    orthonormal), before V = D^{-1} V_S is built; _conventional_basis takes
-    U* as its adjoint in D^2.  A singular V then raises: on a simple spectrum
+    orthonormal), before V = D^{-1} V_S is built, and is the one reported; U*
+    is V's adjoint in D^2.  A singular V then raises: on a simple spectrum
     unit columns fix V up to phases, so dgeev's V is no better.
     """
     d = _balancing_diagonal(m)
@@ -232,8 +233,8 @@ def _eigh_route(m) -> EigenDecomposition | None:
     if residual > residual_bound(s):
         return None
     if d is not None:
-        return _conventional_basis(m, lam, q / d[:, None], d * d, "eigh")
-    return _conventional_basis(m, lam, v, np.ones(m.shape[0]), "geev")
+        return _conventional_basis(m, lam, q / d[:, None], d * d, residual, "eigh")
+    return _conventional_basis(m, lam, v, np.ones(m.shape[0]), residual, "geev")
 
 
 def _balancing_diagonal(m) -> np.ndarray | None:
@@ -285,13 +286,14 @@ def commutator_norm(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m))
 
 
-def _conventional_basis(m, lam, v, w, solver: str) -> EigenDecomposition:
+def _conventional_basis(m, lam, v, w, residual, solver: str) -> EigenDecomposition:
     """The conventions every route of eig_general shares, applied to M's
     eigenpairs (lam, v).  _eigh_route passes the weights w (d^2, or 1 on the
-    normal split) in whose inner product its v is orthonormal, and U* is V's
-    adjoint in it, u_k = v_k^H W / (v_k^H W v_k).  dgeev passes None: its u
-    is inv(v), checked by the dual residual.  v is changed in place, so that
-    no second n x n copy of it is alive during the checks.
+    normal split) in whose inner product its v is orthonormal, U* is V's
+    adjoint in w, u_k = v_k^H W / (v_k^H W v_k), and residual is the one that
+    kept it.  dgeev passes None for both: u = inv(v), and its residual and
+    dual residual are checked here.  v is changed in place, so that no
+    second n x n copy of it is alive during the checks.
 
     Eigenvalues are sorted by descending real part, ties broken by ascending
     imaginary part.  On dgeev's result only, each eigenvalue joins the
@@ -309,9 +311,9 @@ def _conventional_basis(m, lam, v, w, solver: str) -> EigenDecomposition:
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
     v[:] = v[:, order]
-    m_norm = np.linalg.norm(m)
 
     if w is None:
+        m_norm = np.linalg.norm(m)
         # Roundoff in Re(lambda) can sort a conjugate between two copies of
         # one eigenvalue, so sort neighbours are not enough to find a
         # cluster; the label is the first eigenvalue within CLUSTER_TOL.  A
@@ -343,26 +345,24 @@ def _conventional_basis(m, lam, v, w, solver: str) -> EigenDecomposition:
             f"eigenvector matrix is numerically singular: sigma_min/sigma_max = "
             f"{sigma[-1] / sigma[0]:.1e} <= RANK_RCOND = {RANK_RCOND:g}"
         )
-    residual = float(np.linalg.norm(m @ v - v * lam))
-    defective = residual > DEFECTIVE_TOL * max(1.0, m_norm)
-    detail = f"residual={residual:.3e}"
     if w is None:
+        residual = np.linalg.norm(m @ v - v * lam)
         u = np.linalg.inv(v)
-        dual_residual = float(np.linalg.norm(u @ v - np.eye(n)))
-        defective |= dual_residual > DEFECTIVE_TOL
-        detail += f", dual residual={dual_residual:.3e}"
+        dual_residual = np.linalg.norm(u @ v - np.eye(n))
+        if residual > DEFECTIVE_TOL * max(1.0, m_norm) or dual_residual > DEFECTIVE_TOL:
+            raise DefectiveMatrixError(
+                f"matrix is numerically non-diagonalizable (residual={residual:.3e}, "
+                f"dual residual={dual_residual:.3e})")
     else:
         u = np.conj(v.T)
         u *= w
         u /= np.einsum("ki,ik->k", u, v)[:, None]
-    if defective:
-        raise DefectiveMatrixError(f"matrix is numerically non-diagonalizable ({detail})")
     return EigenDecomposition(
         eigenvalues=lam.astype(complex, copy=False),
         right_vectors=v.astype(complex, copy=False),
         left_dual=u.astype(complex, copy=False),
         cond_v=float(sigma[0] / sigma[-1]),
-        residual=residual,
+        residual=float(residual),
         solver=solver,
     )
 

@@ -99,11 +99,14 @@ class StationaryDistribution:
 
 
 def transition(g: DirectedGraph) -> TransitionOperator:
-    """P = D_out^{-1} A (rows normalized by out-degree)."""
-    d = out_degrees(g)
+    """P = D_out^{-1} A; an out-degree that is 0 or overflows is refused."""
+    with np.errstate(over="ignore"):
+        d = out_degrees(g)
     sinks = np.nonzero(d == 0)[0]
     if sinks.size:
         raise SinkNodeError(int(sinks[0]))
+    if np.isinf(d).any():
+        raise ValueError(f"out-degree of node {np.argmax(np.isinf(d))} overflows float64")
     p = g.adjacency / d[:, None]
     return TransitionOperator(p=p)
 
@@ -187,16 +190,11 @@ def is_reversible(
 def symmetrize(op: TransitionOperator, dist: StationaryDistribution) -> np.ndarray:
     """Similarity transform S = Pi^{1/2} P Pi^{-1/2}; symmetric iff reversible.
     ValueError for a dist.pi that is not op.n finite positive entries."""
-    s = np.sqrt(_checked_pi(op, dist))
-    return (s[:, None] * op.p) / s[None, :]
-
-
-def _checked_pi(op: TransitionOperator, dist: StationaryDistribution) -> np.ndarray:
-    """dist.pi if it has op.n finite, positive entries, else ValueError."""
     pi = linalg.as_vector(dist.pi, op.n)
     if not np.all(pi > 0):
         raise ValueError("stationary distribution entries must be positive")
-    return pi
+    s = np.sqrt(pi)
+    return (s[:, None] * op.p) / s[None, :]
 
 
 def pi_inner(x, y, dist: StationaryDistribution) -> complex:

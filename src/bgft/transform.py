@@ -1,9 +1,9 @@
 """Biorthogonal spectral analysis of the random-walk operator.
 
-decompose() builds a biorthogonal basis (right eigenvectors V, left dual
-U* = V^{-1}) of P.  Analysis is xhat = U* x, synthesis x = V xhat; diffusion
-and spectral filters act diagonally in these coordinates.  Modes are ordered
-by decay rate: omega_k = Re(1 - lambda_k), ascending (slow modes first).
+decompose() builds a biorthogonal basis of P: right eigenvectors V, and left
+dual U* = V^{-1} (dgeev) or V's pi-adjoint, V^{-1} to roundoff (eigh route).
+Analysis is xhat = U* x, synthesis x = V xhat; diffusion and spectral filters
+act diagonally.  Modes ascend in decay rate omega_k = Re(1 - lambda_k).
 """
 
 from __future__ import annotations

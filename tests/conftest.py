@@ -52,7 +52,7 @@ def dgeev_decomposition(m):
     m = linalg.as_matrix(m)
     lam, v = np.linalg.eig(m)
     return linalg._conventional_basis(m, lam.astype(complex), v.astype(complex, order="F"),
-                                      None, "geev")
+                                      None, None, "geev")
 
 
 def counted(monkeypatch, module, name, refuse=lambda *args: False):

@@ -186,6 +186,18 @@ class TestDiffuse:
         for r in recs:
             assert r["norm"] <= r["bound"] + 1e-8
 
+    def test_bound_slack_is_relative(self, tmp_path):
+        # The iterate bound's roundoff is relative to it: rho reads 1 - 2e-16
+        # here, so at t = 8 the bound on this constant signal's conserved
+        # norm 1.6e7 is 1.1e-8 below it, past an absolute slack of 1e-8.
+        path = tmp_path / "c.sig"
+        path.write_text("1e6\n" * 256)
+        out = tmp_path / "traj.json"
+        assert run(["diffuse", str(path), "--graph", "undirected-cycle", "--n", "256",
+                    "--format", "json"], out) == 0
+        norms = [r["norm"] for r in json.loads(out.read_text())]
+        assert norms == pytest.approx([1.6e7] * 21, rel=1e-12)
+
     def test_ones_norm_sqrt_n(self, tmp_path):
         path = tmp_path / "ones.sig"
         with open(path, "w") as fh:
@@ -343,6 +355,47 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: --noise is too large: the noise vector's norm overflows, got 1e+200\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["indices", "--graph", "file", "--input", "{tmp}/heavy.edges"],
+         "out-degree of node 2 overflows float64"),
+        *[([command, "{tmp}/big.sig", "--graph", "directed-cycle", "--n", "8"],
+           "{tmp}/big.sig: signal is too large: its norm overflows")
+          for command in ("filter", "diffuse")],
+    ], ids=["out-degree", "filter-signal", "diffuse-signal"])
+    def test_overflowing_sum_refused(self, argv, message, tmp_path, capsys):
+        # Each value is finite, but a row sum or the signal's norm overflows:
+        # one error line, and no numpy warning on the way.
+        (tmp_path / "heavy.edges").write_text("# nodes 3\n0 1 1\n1 2 1\n2 0 1e308\n2 1 1e308\n")
+        (tmp_path / "big.sig").write_text("1e308 -1e308\n" * 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: " + message.replace("{tmp}", str(tmp_path)) + "\n"
+
+    @pytest.mark.parametrize("command", ["filter", "diffuse"])
+    def test_signal_with_overflowing_sum_of_squares_accepted(self, command, tmp_path, capsys):
+        # The sum of squares of eight entries 1e200 overflows, but their norm
+        # does not: the run succeeds and reports it, with no numpy warning.
+        path = tmp_path / "big.sig"
+        path.write_text("1e200\n" * 8)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, str(path), "--graph", "directed-cycle", "--n", "8",
+                        "--format", "json"], out) == 0
+        norm = np.sqrt(8) * 1e200
+        if command == "filter":
+            err = capsys.readouterr().err
+            assert err.startswith("||x||2 = ")
+            assert [float(v) for v in err.split()[2::3]] == pytest.approx([norm] * 2, rel=1e-12)
+            assert read_signal(out) == pytest.approx(np.full(8, 1e200), rel=1e-12)
+        else:
+            recs = json.loads(out.read_text())
+            assert [r["norm"] for r in recs] == pytest.approx([norm] * 21, rel=1e-12)
+            assert np.isfinite([r["bound"] for r in recs]).all()
 
     def test_generated_graph_over_cap(self, no_transition, capsys):
         # Refused before the transition operator is built: without the cap

@@ -120,6 +120,8 @@ class TestSolverChoice:
             assert dec.left_dual.dtype == np.complex128
             assert np.linalg.norm(dec.left_dual @ dec.right_vectors - np.eye(n)) <= 1e-12
             assert dec.residual <= linalg.residual_bound(op.p)
+            v = dec.right_vectors
+            assert np.linalg.norm(op.p @ v - v * dec.eigenvalues) <= linalg.residual_bound(op.p)
             assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-14
 
 
@@ -156,6 +158,9 @@ class TestAgreementWithEigGeneral:
         assert bgft.is_reversible(op, dist) and not bgft.is_reversible(op, dist, tol=0.0)
         assert op.eig.solver == "eigh"
         assert op.eig.residual <= linalg.DEFECTIVE_TOL * max(1.0, np.linalg.norm(op.p))
+        v = op.eig.right_vectors
+        assert (np.linalg.norm(op.p @ v - v * op.eig.eigenvalues)
+                <= linalg.DEFECTIVE_TOL * max(1.0, np.linalg.norm(op.p)))
         assert np.all(np.array(relative_differences(op)) <= AGREE_TOL)
 
     def test_eigh_residual_above_roundoff_goes_to_geev(self, monkeypatch):

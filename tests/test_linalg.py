@@ -110,6 +110,10 @@ class TestNormalRoute:
         assert dec.solver == "geev"
         assert multiset_distance(lam, ref) <= 1e-12
         assert dec.cond_v <= 1 + 1e-12
+        # The S frame is m's own (D = I), so the reported residual is the
+        # returned arrays' Euclidean one, up to roundoff.
+        recomputed = np.linalg.norm(m @ dec.right_vectors - dec.right_vectors * lam)
+        assert abs(dec.residual - recomputed) <= linalg.residual_bound(m)
         assert_array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
 
     @pytest.mark.parametrize("kind", sorted(NORMAL_INPUTS))
@@ -220,6 +224,26 @@ class TestSymmetrizedRoute:
         closed = np.r_[1.0, 2 * np.sqrt(r * (1 - r)) * np.cos(np.pi * np.arange(1, n) / n)]
         assert_allclose(dec.eigenvalues, np.sort(closed)[::-1], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n, r", [case for case in BIRTH_DEATH_CASES
+                                      if case not in ((30, 0.1), (200, 0.4))])
+    def test_reported_residual_is_the_s_frame_one(self, n, r):
+        # The Euclidean ||P V - V Lambda||_F of the returned V reads up to
+        # 6.9e-10 here (n = 20), far above this bound; the S-frame residual
+        # that kept the eigenpairs is at roundoff.  V = D^-1 V_S with unit
+        # columns, so cond(D) = sqrt(max pi / min pi) times it bounds the
+        # Euclidean one, which stays within the DEFECTIVE_TOL that dgeev's
+        # result is held to.
+        op = bgft.transition(birth_death_chain(n, r))
+        dec = bgft.eig_general(op.p)
+        assert dec.solver == "eigh"
+        dist = bgft.stationary(op)
+        assert dec.residual <= linalg.residual_bound(bgft.symmetrize(op, dist))
+        v = dec.right_vectors
+        euclidean = np.linalg.norm(op.p @ v - v * dec.eigenvalues)
+        cond_d = np.sqrt(dist.pi.max() / dist.pi.min())
+        assert euclidean <= cond_d * dec.residual + linalg.residual_bound(op.p)
+        assert euclidean <= linalg.DEFECTIVE_TOL * max(1.0, np.linalg.norm(op.p))
+
     def test_overflowing_s_refused_before_eigh(self, monkeypatch):
         # Finite, with symmetric support and d = (1, 1e150, 1e150), but
         # S = D m D^-1 overflows to inf at (1, 2), where ||S - S^T||_F <=
@@ -320,6 +344,8 @@ class TestEigGeneral:
         for dec in (bgft.eig_general(p), dgeev_decomposition(p)):
             assert dec.cond_v == pytest.approx(1.0, abs=1e-12)
             assert dec.residual <= 1e-14
+            v = dec.right_vectors
+            assert np.linalg.norm(p @ v - v * dec.eigenvalues) <= 1e-14
             assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
         # The same on the 4-cycle with edge weights (1, 2, 2, 1), whose P
         # is not normal.  Without the null-space basis dgeev's result reads

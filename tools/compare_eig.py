@@ -11,10 +11,11 @@ degenerate eigenvalue 0 and a non-uniform pi).  It times
 linalg.eig_general on each P, --repeats calls in a row after one untimed
 call.  The trees run in the order old, new, new, old, so a drift of the
 machine's speed during the runs weighs on both alike.  For each size and
-kind the script prints each tree's solver label, cond_v, and the min and
-median seconds over its 2 x --repeats calls, then the largest absolute
-difference between the trees' eigenvalues, right vectors V and left duals
-U* (from each tree's first run).  The basis of a degenerate cluster is
+kind the script prints each tree's solver label, cond_v, residual (the one
+its route reports) and the min and median seconds over its 2 x --repeats
+calls, then the largest absolute difference between the trees'
+eigenvalues, right vectors V and left duals U* (from each tree's first
+run).  The basis of a degenerate cluster is
 arbitrary, so V and U* may differ by O(1) where the trees split one
 differently; the eigenvalues may not.  It ends with the numpy and OpenBLAS
 versions, and exits 1 if any solver label differs.
@@ -36,7 +37,7 @@ import numpy as np
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIELDS = {"lambda": "eigenvalues", "V": "right_vectors", "U*": "left_dual"}
 
-# Run in the child: every (n, kind)'s solver, cond_v and seconds on stdout, its
+# Run in the child: every (n, kind)'s solver, cond_v, residual and seconds on stdout, its
 # eigenvalues, V and U* in the .npz named by argv[1].
 CHILD = """
 import json, sys, time
@@ -66,7 +67,7 @@ for n in map(int, sys.argv[4:]):
             t0 = time.perf_counter()
             dec = linalg.eig_general(p)
             seconds.append(time.perf_counter() - t0)
-        rows.append([n, kind, dec.solver, dec.cond_v, seconds])
+        rows.append([n, kind, dec.solver, dec.cond_v, dec.residual, seconds])
         for name in ("eigenvalues", "right_vectors", "left_dual"):
             arrays[f"{n} {kind} {name}"] = getattr(dec, name)
 np.savez(out, **arrays)
@@ -107,9 +108,9 @@ def main(argv) -> int:
     for j, (n, kind, *_) in enumerate(res["old"][0]["rows"]):
         parts = []
         for tree, runs in res.items():
-            solver, cond_v = runs[0]["rows"][j][2:4]
-            seconds = [s for r in runs for s in r["rows"][j][4]]
-            parts.append(f"{tree} {solver} cond_v {cond_v:.4g}, "
+            solver, cond_v, residual = runs[0]["rows"][j][2:5]
+            seconds = [s for r in runs for s in r["rows"][j][5]]
+            parts.append(f"{tree} {solver} cond_v {cond_v:.4g}, residual {residual:.2e}, "
                          f"{min(seconds) * 1e3:.1f} ms min, "
                          f"{statistics.median(seconds) * 1e3:.1f} ms median")
         labels_differ |= res["old"][0]["rows"][j][2] != res["new"][0]["rows"][j][2]
