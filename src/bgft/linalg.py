@@ -40,6 +40,9 @@ CLUSTER_TOL = 1e-8
 DEFECTIVE_TOL = 1e-6
 # Relative singular-value cutoff used for rank decisions everywhere.
 RANK_RCOND = 1e-12
+# A column's phase pivot is its first entry of modulus at least (1 - PHASE_TOL)
+# times the column's largest, so roundoff cannot pick it among equal moduli.
+PHASE_TOL = 1e-8
 # _eigh_route keeps eigh's eigenpairs only when their residual in the S frame
 # is at most this multiple of n * eps * max(1, ||S||_F) (residual_bound).
 # Clean reversible chains measured at most 1.13 of that unit (the 600 seeded
@@ -302,10 +305,13 @@ def _conventional_basis(m, lam, v, w, residual, solver: str) -> EigenDecompositi
     re-orthonormalized by a Euclidean QR, so that normal matrices get cond_v
     ~= 1 whatever basis LAPACK chose for the cluster (on _eigh_route's, it
     would break orthogonality in W).  Columns have unit norm, which fixes
-    cond(V); the phase is fixed so that the largest-magnitude entry is
-    positive real.  The phase rule leaves cond(V) unchanged (a unit-modulus
-    column scaling is unitary), but it fixes V itself, U*, and the seeded
-    signals built from V.
+    cond(V); the phase is fixed so that the pivot, the first entry of
+    modulus within PHASE_TOL of the column's largest, is positive real (on
+    the cycles every entry has modulus 1/sqrt(n), and the largest one would
+    be roundoff's pick).  The phase rule leaves cond(V) unchanged (a
+    unit-modulus column scaling is unitary), but it fixes V itself, U*, and
+    the seeded signals built from V.  Inside a degenerate cluster the basis
+    itself is still arbitrary.
     """
     n = m.shape[0]
     order = np.lexsort((lam.imag, -lam.real))
@@ -336,7 +342,9 @@ def _conventional_basis(m, lam, v, w, residual, solver: str) -> EigenDecompositi
             v[:, idx] = q
 
     v /= np.linalg.norm(v, axis=0)
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    modulus = np.abs(v)
+    first = np.argmax(modulus >= (1 - PHASE_TOL) * modulus.max(axis=0), axis=0)
+    pivot = v[first, np.arange(n)]
     v *= np.conj(pivot) / np.abs(pivot)
 
     sigma = np.linalg.svd(v, compute_uv=False)

@@ -294,6 +294,20 @@ class TestEigGeneral:
             assert abs(pivot.imag) <= 1e-12
             assert pivot.real > 0
 
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_phase_rule_survives_roundoff(self, n):
+        # Every entry of the directed cycle's eigenvectors has modulus
+        # 1/sqrt(n), so a pivot of largest modulus is roundoff's pick (V
+        # moved by 0.25, 0.13 and 0.088 under that rule).  P scaled entrywise
+        # by 1 + eps * r keeps V.  Its rows are not renormalized: each has
+        # one entry, which renormalizing would restore exactly.
+        p = bgft.transition(bgft.directed_cycle(n)).p
+        r = np.random.default_rng(n).standard_normal(p.shape)
+        q = p * (1 + np.finfo(float).eps * r)
+        assert not np.array_equal(p, q)
+        v, w = (bgft.eig_general(m).right_vectors for m in (p, q))
+        assert np.max(np.abs(v - w)) <= 1e-10
+
     def test_normalization_matches_column_loop(self):
         # No repeated eigenvalues, so the columns are LAPACK's, normalized
         # one at a time here as the reference.
