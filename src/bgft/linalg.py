@@ -7,12 +7,13 @@ expected number of dimensions, no empty axis and finite entries.  So real
 input stays real: a real P goes into LAPACK as dgeev, not zgeev (which also
 returns exact conjugate pairs), and a real signal stays float64 through P x.
 Counts (t, k, m) pass through as_count: integers of any type, numpy's too,
-pass and floats are refused.  Eigenvalues and eigenvectors are always
-returned as complex128.  The kernels here wrap LAPACK via numpy but enforce
-the conventions the rest of the toolkit relies on: deterministic eigenvalue
-ordering, unit-norm phase-fixed eigenvector columns, dgeev's degenerate
-clusters re-orthonormalized, and explicit detection of numerically defective
-input.
+pass and floats are refused.  Eigenvalues are always complex128; a real
+matrix's eigenvectors are held in EigenDecomposition's real frames and
+assembled as complex128 only on request.  The kernels here wrap LAPACK via
+numpy but enforce the conventions the rest of the toolkit relies on:
+deterministic eigenvalue ordering, unit-norm phase-fixed eigenvector
+columns, dgeev's degenerate clusters re-orthonormalized, and explicit
+detection of numerically defective input.
 
 eig_general is the one eigensolver and makes the one choice of solver: eigh
 for an m = D^{-1} S D with S normal (a reversible chain, or a normal m with
@@ -99,23 +100,39 @@ def as_count(value, what: str, low: int, high: int | None = None, error=ValueErr
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Biorthogonal eigendecomposition M = V diag(eigenvalues) left_dual.
+    """Biorthogonal eigendecomposition M = V diag(eigenvalues) U*, stored as
+    two frames: V = right_frame T^H and U* = T dual_frame.
 
-    right_vectors has unit-norm columns; left_dual is the inverse of V on
-    dgeev's result, and V's adjoint in D^2 (the pi inner product on a
-    reversible chain), equal to the inverse up to roundoff, on _eigh_route's.
-    cond_v is the 2-norm condition number of right_vectors; residual is the
-    one that kept the result: dgeev's Euclidean ||M V - V Lambda||_F, or
-    _eigh_route's S-frame ||S V_S - V_S Lambda||_F; the Euclidean one of
-    that V is at most cond(D) = max d / min d times it, to roundoff, and
-    cond(D) ~ 5e11 at a pi spread of 3.0e23.  solver names eig_general's route:
-    "eigh" (_eigh_route on a symmetrizable m) or "geev" (dgeev, or
-    _eigh_route's split of a normal m).
+    A real M's spectrum is closed under conjugation, and the eigenvectors
+    v, conj(v) of a conjugate pair span one real 2-plane.  T is unitary and
+    block diagonal, one 2 x 2 block per pair (Golub and Van Loan, Matrix
+    Computations, 7.4), so a real M's frames are real: a real eigenvalue's
+    column of right_frame is v itself, and pairs[:, j] = (a, b), with
+    lambda_b = conj(lambda_a) and Im lambda_a > 0, holds sqrt(2) Re v_a at a
+    and sqrt(2) Im v_a at b; v_b = conj(v_a).  So dual_frame is the inverse
+    of right_frame, they have V's and U*'s singular values, and each takes
+    half a complex array's memory.  A complex M has complex frames, no
+    pairs and T = I.  The sort, unit norms and phases are V's.
+
+    right_vectors and left_dual assemble complex128 V and U* on every
+    access, and are not kept; library code reads the frames through
+    left_apply (U* x), right_apply (V c) and right_columns (V[:, idx]).
+
+    V has unit-norm columns; U* is the inverse of V on dgeev's result, and
+    V's adjoint in D^2 (the pi inner product on a reversible chain), equal
+    to the inverse up to roundoff, on _eigh_route's.  cond_v is the 2-norm
+    condition number of V; residual is the one that kept the result:
+    dgeev's Euclidean ||M V - V Lambda||_F, or _eigh_route's S-frame
+    ||S V_S - V_S Lambda||_F; the Euclidean one of that V is at most cond(D)
+    = max d / min d times it, to roundoff, and cond(D) ~ 5e11 at a pi spread
+    of 3.0e23.  solver names eig_general's route: "eigh" (_eigh_route on a
+    symmetrizable m) or "geev" (dgeev, or _eigh_route's split of a normal m).
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_dual: np.ndarray
+    right_frame: np.ndarray
+    dual_frame: np.ndarray
+    pairs: np.ndarray
     cond_v: float
     residual: float
     solver: str
@@ -123,6 +140,95 @@ class EigenDecomposition:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def right_vectors(self) -> np.ndarray:
+        """V, assembled from right_frame on every access."""
+        return self.right_columns(np.arange(self.n))
+
+    @property
+    def left_dual(self) -> np.ndarray:
+        """U*, assembled from dual_frame on every access."""
+        return _from_frame(self.dual_frame.T, self.pairs, np.arange(self.n), -1).T
+
+    def right_columns(self, idx) -> np.ndarray:
+        """V[:, idx] in O(n |idx|)."""
+        return _from_frame(self.right_frame, self.pairs, np.asarray(idx, dtype=int), 1)
+
+    def left_apply(self, x) -> np.ndarray:
+        """U* x = T (dual_frame x), complex128, for x of shape (n,) or (n, k):
+        real products on a real frame."""
+        y = product(self.dual_frame, x)
+        c = y.astype(complex)
+        a, b = self.pairs
+        c[a], c[b] = (y[a] - 1j * y[b]) * np.sqrt(0.5), (y[a] + 1j * y[b]) * np.sqrt(0.5)
+        return c
+
+    def right_apply(self, c) -> np.ndarray:
+        """V c = right_frame (T^H c), complex128, for c of shape (n,) or (n, k).
+        T^H c is real, and the product one real GEMV, when c is real on the
+        real eigenvalues and c_b = conj(c_a) on each pair, as U* x is for a
+        real x."""
+        g = np.array(c, dtype=complex)
+        a, b = self.pairs
+        g[a], g[b] = (g[a] + g[b]) * np.sqrt(0.5), 1j * (g[a] - g[b]) * np.sqrt(0.5)
+        if np.isrealobj(self.right_frame) and not g.imag.any():
+            g = g.real
+        return product(self.right_frame, g).astype(complex, copy=False)
+
+
+def product(a, x) -> np.ndarray:
+    """a @ x, a complex x on a real a taken as its real and imaginary parts,
+    so that a is never cast to complex."""
+    if np.iscomplexobj(x) and not np.iscomplexobj(a):
+        return a @ x.real + 1j * (a @ x.imag)
+    return a @ x
+
+
+def frame_norms(f, pairs) -> np.ndarray:
+    """The column 2-norms of F T^H (EigenDecomposition's T): a lone column's
+    own, and sqrt((||f_a||^2 + ||f_b||^2) / 2) for both columns of a pair."""
+    norms = np.linalg.norm(f, axis=0)
+    a, b = pairs
+    norms[a] = norms[b] = np.hypot(norms[a], norms[b]) * np.sqrt(0.5)
+    return norms
+
+
+def _pair_roles(n, pairs) -> tuple:
+    """(partner, role) of n frame columns: partner[k] is the other column of
+    k's pair (k itself for a lone column); role[k] is 1 at pairs[0], -1 at
+    pairs[1] and 0 elsewhere."""
+    partner, role = np.arange(n), np.zeros(n, int)
+    partner[pairs[0]], partner[pairs[1]] = pairs[1], pairs[0]
+    role[pairs[0]], role[pairs[1]] = 1, -1
+    return partner, role
+
+
+def _from_frame(f, pairs, idx, sign) -> np.ndarray:
+    """Columns idx of F T^H (sign 1) or of F T^T (sign -1) as complex128:
+    (f_a + sign i f_b) / sqrt(2) at a pair's a, (f_a - sign i f_b) / sqrt(2)
+    at its b, and f_k at a lone column k."""
+    if np.iscomplexobj(f):  # a complex m: no pairs
+        return f[:, idx]
+    partner, role = _pair_roles(f.shape[1], pairs)
+    r = role[idx]
+    re = np.where(r < 0, partner[idx], idx)
+    scale = np.where(r == 0, 1.0, np.sqrt(0.5))
+    out = np.empty((f.shape[0], idx.size), complex)
+    np.multiply(f[:, re], scale, out=out.real)
+    np.multiply(f[:, partner[re]], sign * r * scale, out=out.imag)
+    return out
+
+
+def _real_frame(lam, v) -> np.ndarray:
+    """The real frame, before normalization, of the eigenvectors v (..., n, k)
+    of a real matrix with eigenvalues lam (..., k), in LAPACK's order: each
+    conjugate pair adjacent, Im > 0 first.  A pair's columns hold Re and Im
+    of its first vector; a real eigenvalue's column is its vector."""
+    f = np.array(v.real, order="F")
+    if np.iscomplexobj(v):
+        np.copyto(f[..., 1:], v.imag[..., :-1], where=(lam.imag < 0)[..., None, 1:])
+    return f
 
 
 @dataclass(frozen=True)
@@ -164,11 +270,23 @@ def eig_general(m) -> EigenDecomposition:
         dec = _eigh_route(m)
         if dec is not None:
             return dec
+    return _dgeev(m)
+
+
+def _dgeev(m) -> EigenDecomposition:
+    """LAPACK's eig of m under _conventional_basis's conventions: eig_general's
+    result for any m that _eigh_route refuses.  A real m's complex
+    eigenvectors are dropped as soon as their real frame is built."""
     lam, v = np.linalg.eig(m)
-    # Column-major, the layout a column-permuted copy has: the in-place sort
-    # keeps it, and the QR, SVD and inverse that follow round by it.
-    v = v.astype(complex, order="F")
-    return _conventional_basis(m, lam.astype(complex), v, None, None, "geev")
+    if np.iscomplexobj(m):
+        # Column-major, the layout a column-permuted copy has: the in-place
+        # sort keeps it, and the QR, SVD and inverse that follow round by it.
+        f, pairs = v.astype(complex, order="F"), np.zeros((2, 0), int)
+    else:
+        upper = np.flatnonzero(lam.imag > 0)
+        f, pairs = _real_frame(lam, v), np.stack([upper, upper + 1])
+    del v
+    return _conventional_basis(m, lam.astype(complex), f, pairs, None, None, "geev")
 
 
 def residual_bound(m) -> float:
@@ -185,18 +303,13 @@ def _eigh_route(m) -> EigenDecomposition | None:
     D = diag(d) from _balancing_diagonal if S is finite and ||S - S^T||_F <=
     NORMAL_TOL ||S||_F (a reversible chain; "eigh"), else D = I if
     _is_normal(m) ("geev").  eigh of (S + S^T) / 2 gives Q diag(w) Q^T; a
-    symmetric S is done, V_S = Q.  Otherwise runs of w within CLUSTER_TOL
-    span invariant subspaces of S, and each run's block Q_c^T S Q_c (2 x 2
-    for a conjugate pair, kept exactly conjugate) is split by eig, one
-    batched call per block size.  A normal block's eigenspaces are
-    orthogonal, so a QR of its eigenvectors Y keeps each column in its own
-    and makes V_S = Q_c Y unitary, where eig's Y need not be (the directed
-    torus).  The residual is taken in the S frame, where eigh is accurate,
-    from the one product S Q (a split run, with B_c its block, adds ||S Q_c -
-    Q_c B_c|| and ||B_c - Y diag(mu) Y^H|| in quadrature, as Q and Y are
-    orthonormal), before V = D^{-1} V_S is built, and is the one reported; U*
-    is V's adjoint in D^2.  A singular V then raises: on a simple spectrum
-    unit columns fix V up to phases, so dgeev's V is no better.
+    symmetric S is done, V_S = Q.  Otherwise _split splits each run of w by
+    its block of S, and _refined corrects the frame with S's own eigenvalue
+    gaps.  The residual is taken in the S frame, where eigh is accurate,
+    before the correction and before V = D^{-1} V_S is built, and is the one
+    reported; U* is V's adjoint in D^2.  A singular V then raises: on a
+    simple spectrum unit columns fix V up to phases, so dgeev's V is no
+    better.
     """
     d = _balancing_diagonal(m)
     if d is not None:
@@ -211,33 +324,116 @@ def _eigh_route(m) -> EigenDecomposition | None:
         s = m
     w, q = np.linalg.eigh((s + s.T) / 2)
     if d is not None:
-        lam, residual = w, np.linalg.norm(s @ q - q * w)
+        lam, f, pairs = w.astype(complex), q, np.zeros((2, 0), int)
+        residual = np.linalg.norm(s @ q - q * w)
     else:
-        sq = s @ q
-        starts = np.flatnonzero(np.r_[True, np.diff(w) > CLUSTER_TOL])
-        sizes = np.diff(np.r_[starts, w.size])
-        lam = np.empty(w.size, complex)
-        v = np.empty(q.shape, complex, order="F")
-        residual = 0.0
-        for k in np.unique(sizes):
-            cols = starts[sizes == k, None] + np.arange(k)
-            qc = q[:, cols]
-            blocks = np.einsum("ick,icl->ckl", qc, sq[:, cols])
-            residual = np.hypot(residual, np.linalg.norm(
-                np.einsum("ick,ckl->icl", qc, blocks) - sq[:, cols]))
-            if k == 1:
-                lam[cols], v[:, cols] = blocks[:, 0], qc
-                continue
-            mu, y = np.linalg.eig(blocks)
-            y = np.linalg.qr(y)[0]
-            lam[cols], v[:, cols] = mu, np.einsum("ick,ckl->icl", qc, y)
-            residual = np.hypot(residual, np.linalg.norm(
-                blocks - (y * mu[:, None]) @ y.conj().transpose(0, 2, 1)))
+        lam, f, pairs, residual = _split(s, w, q)
+    del q
     if residual > residual_bound(s):
         return None
     if d is not None:
-        return _conventional_basis(m, lam, q / d[:, None], d * d, residual, "eigh")
-    return _conventional_basis(m, lam, v, np.ones(m.shape[0]), residual, "geev")
+        return _conventional_basis(m, lam, f / d[:, None], pairs, d * d, residual, "eigh")
+    return _conventional_basis(m, lam, _refined(s, f, lam, pairs), pairs, np.ones(m.shape[0]),
+                               residual, "geev")
+
+
+def _split(s, w, q) -> tuple:
+    """(lam, f, pairs, residual) of a normal, non-symmetric s from eigh's
+    (w, q) of (s + s^T) / 2: f is the orthonormal real frame
+    (EigenDecomposition's) of s's eigenvectors, each pair's columns
+    adjacent.
+
+    Runs of w within CLUSTER_TOL span invariant subspaces of s, and each
+    run's block B_c = Q_c^T s Q_c (2 x 2 for a conjugate pair) is split by
+    eig, one batched call per block size.  A normal block's eigenspaces are
+    orthogonal, so a QR of the real frame Z of its eigenvectors, each
+    column's sign kept, keeps each column in its own and makes f = Q_c Z
+    orthonormal, where eig's vectors need not be (the directed torus, or a
+    pair whose conjugates nearly coincide).  The residual comes from the
+    one product s Q: a split run adds ||s Q_c - Q_c B_c|| and ||B_c Z - Z
+    Lambda_f|| in quadrature, as Q and Z are orthonormal."""
+    sq = s @ q
+    starts = np.flatnonzero(np.r_[True, np.diff(w) > CLUSTER_TOL])
+    sizes = np.diff(np.r_[starts, w.size])
+    lam = np.empty(w.size, complex)
+    f = np.empty(q.shape, order="F")
+    upper = [np.zeros(0, int)]
+    residual = 0.0
+    for k in np.unique(sizes):
+        cols = starts[sizes == k, None] + np.arange(k)
+        qc = q[:, cols]
+        blocks = np.einsum("ick,icl->ckl", qc, sq[:, cols])
+        residual = np.hypot(residual, np.linalg.norm(
+            np.einsum("ick,ckl->icl", qc, blocks) - sq[:, cols]))
+        if k == 1:
+            lam[cols], f[:, cols] = blocks[:, 0], qc
+            continue
+        mu, y = np.linalg.eig(blocks)
+        z, r = np.linalg.qr(_real_frame(mu, y))
+        z *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
+        re, im = mu.real[:, None, :], mu.imag[:, None, :]
+        residual = np.hypot(residual, np.linalg.norm(
+            blocks @ z - z * re + np.roll(z, -1, axis=2) * np.maximum(im, 0)
+            + np.roll(z, 1, axis=2) * np.minimum(im, 0)))
+        lam[cols], f[:, cols] = mu, np.einsum("ick,ckl->icl", qc, z)
+        upper.append(cols[mu.imag > 0])
+    upper = np.concatenate(upper)
+    return lam, f, np.stack([upper, upper + 1]), residual
+
+
+def _refined(s, f, lam, pairs) -> np.ndarray:
+    """_split's orthonormal frame f of a normal s, corrected to first order
+    with s's own eigenvalue gaps: f + f Y, where Y solves Lambda_f Y - Y
+    Lambda_f = -f^T s f off s's clusters (|gap| > CLUSTER_TOL), and only its
+    skew part is kept, so that f stays orthonormal to second order.
+
+    eigh resolves the eigenvectors of (s + s^T) / 2 only to eps over its
+    gaps, which close quadratically where Re lambda is extreme; s's own
+    gaps do not.  On the directed cycle V's largest error was 3.5e-15 at
+    n = 16 (at lambda = 1) and 3.2e-14 at n = 512, and is 3.2e-16 and
+    3.1e-15 after the correction, which costs three GEMMs.
+
+    Lambda_f's blocks are mu at a lone column and J(mu) = [[Re mu, -Im mu],
+    [Im mu, Re mu]] at a pair (a, b), mu = conj lambda_a, so Y is solved
+    block by block as complex divisions by the gaps: a lone row's 1 x 2
+    block as r_a - i r_b, a pair's 2 x 1 block as c_a + i c_b, and a 2 x 2
+    block J(x_1) + J(x_2) K, K = diag(1, -1), as x_1 and x_2, divided by
+    mu_i - mu_k and mu_i - conj mu_k."""
+    n = f.shape[0]
+    a, b = pairs
+    lone = np.flatnonzero(_pair_roles(n, pairs)[1] == 0)
+    mu_l, mu_p = lam[lone].real, lam[a].conj()
+    x = f.T @ (s @ f)
+    y = np.empty((n, n))
+
+    def solve(z, gap):
+        return -np.divide(z, gap, out=np.zeros_like(z), where=np.abs(gap) > CLUSTER_TOL)
+
+    def block(rows, cols):
+        return x[np.ix_(rows, cols)]
+
+    def put(rows, cols, value):
+        y[np.ix_(rows, cols)] = value
+
+    put(lone, lone, solve(block(lone, lone), mu_l[:, None] - mu_l))
+    r = solve(block(lone, a) - 1j * block(lone, b), mu_l[:, None] - mu_p)
+    put(lone, a, r.real)
+    put(lone, b, -r.imag)
+    c = solve(block(a, lone) + 1j * block(b, lone), mu_p[:, None] - mu_l)
+    put(a, lone, c.real)
+    put(b, lone, c.imag)
+    x00, x01, x10, x11 = block(a, a), block(a, b), block(b, a), block(b, b)
+    x1 = solve((x00 + x11 + 1j * (x10 - x01)) / 2, mu_p[:, None] - mu_p)
+    x2 = solve((x00 - x11 + 1j * (x10 + x01)) / 2, mu_p[:, None] - mu_p.conj())
+    put(a, a, x1.real + x2.real)
+    put(a, b, x2.imag - x1.imag)
+    put(b, a, x1.imag + x2.imag)
+    put(b, b, x1.real - x2.real)
+    del x, x00, x01, x10, x11, x1, x2
+    y -= y.T
+    y /= 2
+    f += f @ y
+    return f
 
 
 def _balancing_diagonal(m) -> np.ndarray | None:
@@ -289,14 +485,19 @@ def commutator_norm(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m))
 
 
-def _conventional_basis(m, lam, v, w, residual, solver: str) -> EigenDecomposition:
+def _conventional_basis(m, lam, f, pairs, w, residual, solver: str) -> EigenDecomposition:
     """The conventions every route of eig_general shares, applied to M's
-    eigenpairs (lam, v).  _eigh_route passes the weights w (d^2, or 1 on the
-    normal split) in whose inner product its v is orthonormal, U* is V's
-    adjoint in w, u_k = v_k^H W / (v_k^H W v_k), and residual is the one that
-    kept it.  dgeev passes None for both: u = inv(v), and its residual and
-    dual residual are checked here.  v is changed in place, so that no
-    second n x n copy of it is alive during the checks.
+    eigenvalues lam and the frame f of their eigenvectors, whose conjugate
+    pairs (EigenDecomposition's pairs) index lam and f.  _eigh_route passes
+    the weights w (d^2, or 1 on the normal split) in whose inner product its
+    V is orthonormal, U* is V's adjoint in w, and residual is the one that
+    kept it.  dgeev passes None for both: U* = V^{-1}, and its residual and
+    dual residual are checked here.  f is changed in place, so that no
+    second n x n copy of it is alive during the checks.  T is unitary, so
+    every check is made on the frames, in real arithmetic on a real M:
+    sigma(V) = sigma(f), ||M V - V Lambda||_F = ||M f - f Lambda_f||_F with
+    Lambda_f's blocks [[a, b], [-b, a]] for a pair's a + ib, and ||U* V -
+    I||_F = ||U_f f - I||_F.
 
     Eigenvalues are sorted by descending real part, ties broken by ascending
     imaginary part.  On dgeev's result only, each eigenvalue joins the
@@ -304,19 +505,29 @@ def _conventional_basis(m, lam, v, w, residual, solver: str) -> EigenDecompositi
     distance, not by sort position), and each cluster's eigenvector block is
     re-orthonormalized by a Euclidean QR, so that normal matrices get cond_v
     ~= 1 whatever basis LAPACK chose for the cluster (on _eigh_route's, it
-    would break orthogonality in W).  Columns have unit norm, which fixes
-    cond(V); the phase is fixed so that the pivot, the first entry of
-    modulus within PHASE_TOL of the column's largest, is positive real (on
-    the cycles every entry has modulus 1/sqrt(n), and the largest one would
-    be roundoff's pick).  The phase rule leaves cond(V) unchanged (a
-    unit-modulus column scaling is unitary), but it fixes V itself, U*, and
-    the seeded signals built from V.  Inside a degenerate cluster the basis
-    itself is still arbitrary.
+    would break orthogonality in W).  A cluster closed under conjugation
+    takes the QR of its frame columns, in real arithmetic on a real M; one
+    of Im > 0 members (pairs[0]) takes the QR of their complex vectors, and
+    its conjugate cluster follows; any other cluster is left as LAPACK gave
+    it.  Columns of V have unit norm, which fixes cond(V); the phase is
+    fixed so that the pivot, the first entry of modulus within PHASE_TOL of
+    the column's largest, is positive real (on the cycles every entry has
+    modulus 1/sqrt(n), and the largest one would be roundoff's pick).  The
+    phase rule leaves cond(V) unchanged (a unit-modulus column scaling is
+    unitary), but it fixes V itself, U*, and the seeded signals built from
+    V.  Inside a degenerate cluster the basis itself is still arbitrary.
+    The sort, the norms and the phases cost O(n^2) on the frame.
     """
     n = m.shape[0]
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
-    v[:] = v[:, order]
+    f[:] = f[:, order]
+    rank = np.empty(n, int)
+    rank[order] = np.arange(n)
+    pairs = rank[pairs]
+    partner, role = _pair_roles(n, pairs)
+    # The eigenvalue of a lone frame column, in the frame's type.
+    lam_f = lam.real if np.isrealobj(f) else lam
 
     if w is None:
         m_norm = np.linalg.norm(m)
@@ -327,48 +538,82 @@ def _conventional_basis(m, lam, v, w, residual, solver: str) -> EigenDecompositi
         # eigendirections that QR would destroy, so the swap is kept only
         # when the block residual stays at roundoff level.
         def invariant(q, mu):
-            return np.linalg.norm(m @ q - q * mu) <= 1e-10 * max(1.0, m_norm)
+            return np.linalg.norm(product(m, q) - q * mu) <= 1e-10 * max(1.0, m_norm)
 
-        labels = (np.abs(lam[:, None] - lam) <= CLUSTER_TOL).argmax(axis=1)
+        # |lambda_i - lambda_j|^2 from real parts, in place: no complex n x n.
+        gap, im = np.subtract.outer(lam.real, lam.real), np.subtract.outer(lam.imag, lam.imag)
+        gap *= gap
+        im *= im
+        gap += im
+        del im
+        labels = (gap <= CLUSTER_TOL**2).argmax(axis=1)
+        del gap
         for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
             idx = np.flatnonzero(labels == label)
-            mu = lam[idx]
-            q = np.linalg.qr(v[:, idx])[0]
+            closed = np.array_equal(np.sort(partner[idx]), idx)
+            if closed:
+                mu, block = lam_f[idx], f[:, idx]
+            elif np.all(role[idx] == 1):
+                mu, block = lam[idx], f[:, idx] + 1j * f[:, partner[idx]]
+            else:
+                continue
+            q = np.linalg.qr(block)[0]
             if not invariant(q, mu):
                 shifted = m - np.mean(mu) * np.eye(n)
                 q = np.linalg.svd(shifted)[2][-idx.size:].conj().T
                 if not invariant(q, mu):
                     continue
-            v[:, idx] = q
+            if closed:
+                f[:, idx] = q
+            else:
+                f[:, idx], f[:, partner[idx]] = q.real, q.imag
 
-    v /= np.linalg.norm(v, axis=0)
-    modulus = np.abs(v)
+    f /= frame_norms(f, pairs)
+    a, b = pairs
+    modulus = np.abs(f)  # of V's entries: a pair's is hypot(f_a, f_b) / sqrt(2)
+    modulus[:, a] = modulus[:, b] = np.hypot(modulus[:, a], modulus[:, b])
     first = np.argmax(modulus >= (1 - PHASE_TOL) * modulus.max(axis=0), axis=0)
-    pivot = v[first, np.arange(n)]
-    v *= np.conj(pivot) / np.abs(pivot)
+    pivot, r = f[first, np.arange(n)], modulus[first, np.arange(n)]
+    del modulus
+    lone = role == 0
+    unit = np.ones(n, f.dtype)
+    unit[lone] = np.conj(pivot[lone]) / r[lone]
+    f *= unit
+    # A pair's v_a = (f_a + i f_b) / sqrt(2) turns by the conjugate phase of
+    # its pivot x + iy = r (c + is): f_a, f_b -> c f_a + s f_b, c f_b - s f_a.
+    c, s = pivot[a] / r[a], pivot[b] / r[a]
+    f[:, a], f[:, b] = f[:, a] * c + f[:, b] * s, f[:, b] * c - f[:, a] * s
 
-    sigma = np.linalg.svd(v, compute_uv=False)
+    sigma = np.linalg.svd(f, compute_uv=False)
     if sigma[-1] <= RANK_RCOND * sigma[0]:
         raise DefectiveMatrixError(
             f"eigenvector matrix is numerically singular: sigma_min/sigma_max = "
             f"{sigma[-1] / sigma[0]:.1e} <= RANK_RCOND = {RANK_RCOND:g}"
         )
     if w is None:
-        residual = np.linalg.norm(m @ v - v * lam)
-        u = np.linalg.inv(v)
-        dual_residual = np.linalg.norm(u @ v - np.eye(n))
+        r = m @ f
+        r -= f * lam_f
+        r[:, a] += f[:, b] * lam.imag[a]
+        r[:, b] -= f[:, a] * lam.imag[a]
+        residual = np.linalg.norm(r)
+        del r
+        u = np.linalg.inv(f)
+        e = u @ f
+        e[np.diag_indices(n)] -= 1.0
+        dual_residual = np.linalg.norm(e)
+        del e
         if residual > DEFECTIVE_TOL * max(1.0, m_norm) or dual_residual > DEFECTIVE_TOL:
             raise DefectiveMatrixError(
                 f"matrix is numerically non-diagonalizable (residual={residual:.3e}, "
                 f"dual residual={dual_residual:.3e})")
     else:
-        u = np.conj(v.T)
-        u *= w
-        u /= np.einsum("ki,ik->k", u, v)[:, None]
+        u = f.T * w
+        u /= np.einsum("ki,ik->k", u, f)[:, None]
     return EigenDecomposition(
-        eigenvalues=lam.astype(complex, copy=False),
-        right_vectors=v.astype(complex, copy=False),
-        left_dual=u.astype(complex, copy=False),
+        eigenvalues=lam,
+        right_frame=f,
+        dual_frame=u,
+        pairs=pairs,
         cond_v=float(sigma[0] / sigma[-1]),
         residual=float(residual),
         solver=solver,

@@ -91,7 +91,7 @@ def band_vectors(basis: BgftBasis, omega: BandSupport) -> np.ndarray:
     """V_Omega: the band's right-eigenvector columns, sorted index order."""
     if omega.omega[-1] >= basis.n:
         raise InvalidSizeError(f"mode index {omega.omega[-1]} out of range")
-    return basis.right_vectors[:, list(omega.omega)]
+    return basis.eig.right_columns(omega.omega)
 
 
 def random_bandlimited(basis: BgftBasis, omega: BandSupport, rng_seed: int) -> np.ndarray:

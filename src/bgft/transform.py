@@ -4,6 +4,12 @@ decompose() builds a biorthogonal basis of P: right eigenvectors V, and left
 dual U* = V^{-1} (dgeev) or V's pi-adjoint, V^{-1} to roundoff (eigh route).
 Analysis is xhat = U* x, synthesis x = V xhat; diffusion and spectral filters
 act diagonally.  Modes ascend in decay rate omega_k = Re(1 - lambda_k).
+
+The basis is held as linalg.EigenDecomposition's real frames, and every
+function here applies it through them: analysis and synthesis are real
+GEMVs for a real signal (two for a complex one), the band's columns are
+assembled in O(n K), and pi_metric's SVD is real.  No function here forms
+the complex n x n V or U*.
 """
 
 from __future__ import annotations
@@ -74,10 +80,13 @@ class BgftBasis:
         # scaling, and this choice makes W unitary wherever V is
         # pi-orthogonal, which it is on every chain eig_general decomposes
         # by eigh (degenerate clusters included); there the sandwich bounds
-        # collapse to equalities.
+        # collapse to equalities.  s is equal on a conjugate pair's two
+        # columns, so W = Pi^{1/2} V_f diag(1/s) T^H in the frame of V =
+        # V_f T^H, and T is unitary: W's singular values are those of the
+        # real Pi^{1/2} V_f diag(1/s).
         pi = markov.stationary(self.operator).pi
-        w = np.sqrt(pi)[:, None] * self.right_vectors
-        scale = np.linalg.norm(w, axis=0)
+        w = np.sqrt(pi)[:, None] * self.eig.right_frame
+        scale = linalg.frame_norms(w, self.eig.pairs)
         return pi, scale, np.linalg.svd(w / scale, compute_uv=False)
 
 
@@ -150,13 +159,26 @@ def decompose(op: TransitionOperator) -> BgftBasis:
 
 
 def analyze(basis: BgftBasis, x) -> np.ndarray:
-    """Forward transform: coefficients xhat_k = u_k* x."""
-    return basis.left_dual @ linalg.as_vector(x, basis.n)
+    """Forward transform: coefficients xhat_k = u_k* x.  ValueError when a
+    coefficient overflows, though x is finite."""
+    x = linalg.as_vector(x, basis.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(basis.eig.left_apply(x), "the coefficients U* x overflow")
 
 
 def synthesize(basis: BgftBasis, xhat) -> np.ndarray:
-    """Inverse transform: x = sum_k v_k xhat_k."""
-    return basis.right_vectors @ linalg.as_vector(xhat, basis.n)
+    """Inverse transform: x = sum_k v_k xhat_k.  ValueError when an entry
+    overflows, though xhat is finite."""
+    xhat = linalg.as_vector(xhat, basis.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(basis.eig.right_apply(xhat), "the synthesis V xhat overflows")
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or ValueError naming what overflowed."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"signal is too large: {what} float64")
+    return values
 
 
 def diffuse_direct(op: TransitionOperator, x0, t: int) -> np.ndarray:
@@ -183,8 +205,8 @@ def apply_filter(basis: BgftBasis, spec: FilterSpec, x) -> np.ndarray:
 
 def filter_matrix(basis: BgftBasis, spec: FilterSpec) -> np.ndarray:
     """Materialize H = V h(Lambda) U* (apply_filter is the cheap path)."""
-    h = spec.response(basis)
-    return (basis.right_vectors * h) @ basis.left_dual
+    eig = basis.eig
+    return eig.right_apply(spec.response(basis)[:, None] * eig.left_apply(np.eye(basis.n)))
 
 
 def iterate_bound(basis: BgftBasis, t: int) -> float:
@@ -218,7 +240,7 @@ def energy_report(basis: BgftBasis, dist: StationaryDistribution, x) -> EnergyRe
     xhat = analyze(basis, x)
 
     pi_energy = float(np.sum(pi * np.abs(x) ** 2))
-    gram_energy = float(np.sum(pi * np.abs(basis.right_vectors @ xhat) ** 2))
+    gram_energy = float(np.sum(pi * np.abs(synthesize(basis, xhat)) ** 2))
 
     lx = x - basis.operator.apply(x)
     tv_pi = float(np.sum(pi * np.abs(lx) ** 2))

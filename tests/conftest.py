@@ -49,10 +49,7 @@ def birth_death_chain(n, r):
 def dgeev_decomposition(m):
     """eig_general's dgeev result for m, whichever route eig_general takes:
     LAPACK's eig under the same conventions."""
-    m = linalg.as_matrix(m)
-    lam, v = np.linalg.eig(m)
-    return linalg._conventional_basis(m, lam.astype(complex), v.astype(complex, order="F"),
-                                      None, None, "geev")
+    return linalg._dgeev(linalg.as_matrix(m))
 
 
 def counted(monkeypatch, module, name, refuse=lambda *args: False):

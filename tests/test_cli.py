@@ -375,6 +375,25 @@ class TestBadInput:
         assert out == ""
         assert err == "error: " + message.replace("{tmp}", str(tmp_path)) + "\n"
 
+    @pytest.mark.parametrize("text", ["1.7e308\n" + "0\n" * 7, "5e307\n" * 8],
+                             ids=["one-entry", "eight-entries"])
+    def test_overflowing_coefficients_refused(self, text, tmp_path, capsys):
+        # The signal's norm is finite, but on the perturbed cycle its
+        # coefficients U* x overflow: one error line naming the overflow, and
+        # no numpy warning on the way.  The normal cycles filter it.
+        path = tmp_path / "big.sig"
+        path.write_text(text)
+        argv = ["filter", str(path), "--n", "8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--graph", "perturbed-cycle"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: signal is too large: the coefficients U* x overflow float64\n"
+            for graph in ("directed-cycle", "undirected-cycle"):
+                assert run(argv + ["--graph", graph], tmp_path / "out") == 0
+                assert np.isfinite(read_signal(tmp_path / "out")).all()
+
     @pytest.mark.parametrize("command", ["filter", "diffuse"])
     def test_signal_with_overflowing_sum_of_squares_accepted(self, command, tmp_path, capsys):
         # The sum of squares of eight entries 1e200 overflows, but their norm

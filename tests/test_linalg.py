@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -115,6 +117,18 @@ class TestNormalRoute:
         recomputed = np.linalg.norm(m @ dec.right_vectors - dec.right_vectors * lam)
         assert abs(dec.residual - recomputed) <= linalg.residual_bound(m)
         assert_array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_directed_cycle_vectors_to_roundoff(self, n):
+        # V is the DFT: v_k[j] = exp(2 pi i k j / n) / sqrt(n), k read off
+        # lambda_k, once the phase rule puts each pivot at j = 0.  eigh's
+        # vectors alone were 3.5e-15, 3.1e-15 and 3.1e-14 off, at lambda = 1
+        # and where (P + P^T) / 2 crowds its eigenvalues.
+        dec = bgft.eig_general(bgft.transition(bgft.directed_cycle(n)).p)
+        k = np.round(np.angle(dec.eigenvalues) * n / (2 * np.pi)).astype(int)
+        j = np.arange(n)
+        dft = np.exp(2j * np.pi * (np.outer(j, k) % n) / n) / np.sqrt(n)
+        assert np.max(np.abs(dec.right_vectors - dft)) <= 2e-15
 
     @pytest.mark.parametrize("kind", sorted(NORMAL_INPUTS))
     def test_normal_input_skips_dgeev(self, kind, monkeypatch):
@@ -408,6 +422,83 @@ class TestEigGeneral:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="requires a square matrix"):
             bgft.eig_general(np.ones((2, 3)))
+
+
+# The benchmark's five analyze kinds at n = 256.
+MEMORY_KINDS = {
+    "undirected-cycle": lambda: bgft.undirected_cycle(256),
+    "directed-cycle": lambda: bgft.directed_cycle(256),
+    "perturbed-cycle": lambda: bgft.add_directed_chord(bgft.directed_cycle(256), 20, 0, 128),
+    "random-reversible": lambda: random_reversible_graph(256, 3),
+    "random-nonreversible": lambda: random_digraph(256, 3),
+}
+
+
+class TestFrames:
+    """A real m's basis is kept as two real frames, V = V_f T^H and U* =
+    T U_f; a complex m's frames are complex, with no pairs."""
+
+    @staticmethod
+    def traced(m):
+        """eig_general(m), and the bytes it kept and peaked at under
+        tracemalloc, in units of one n x n float64 array."""
+        bgft.eig_general(m)  # untimed, untraced: first calls set up numpy's caches
+        tracemalloc.start()
+        try:
+            dec = bgft.eig_general(m)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit = m.shape[0] ** 2 * 8
+        return dec, retained / unit, peak / unit
+
+    @pytest.mark.parametrize("kind", sorted(MEMORY_KINDS))
+    def test_memory_is_two_real_frames(self, kind):
+        # Complex V and U* took 4 units, and dgeev's checks peaked at 7.1:
+        # the eig call's complex vectors are the one complex n x n array.
+        dec, retained, peak = self.traced(bgft.transition(MEMORY_KINDS[kind]()).p)
+        assert dec.right_frame.dtype == dec.dual_frame.dtype == np.float64
+        assert retained <= 2.1
+        if kind in ("perturbed-cycle", "random-nonreversible"):
+            assert dec.solver == "geev"
+            assert peak <= 4
+
+    def test_complex_input(self):
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        dec = bgft.eig_general(m)
+        assert dec.pairs.shape == (2, 0)
+        assert dec.right_frame.dtype == dec.dual_frame.dtype == np.complex128
+        v, u = dec.right_vectors, dec.left_dual
+        assert np.linalg.norm(u @ v - np.eye(6)) <= 1e-12 * dec.cond_v
+        assert dec.residual <= linalg.residual_bound(m)
+        assert np.linalg.norm(m @ v - v * dec.eigenvalues) <= linalg.residual_bound(m)
+        assert_allclose(np.linalg.norm(v, axis=0), np.ones(6), atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bgft.add_directed_chord(bgft.directed_cycle(32), 20, 0, 16),
+        lambda: bgft.directed_cycle(32),
+        lambda: random_reversible_graph(16, 2),
+    ], ids=["dgeev", "normal-split", "eigh"])
+    def test_frame_operations_match_assembled_arrays(self, make):
+        dec = bgft.eig_general(bgft.transition(make()).p)
+        v, u, lam = dec.right_vectors, dec.left_dual, dec.eigenvalues
+        a, b = dec.pairs
+        assert_array_equal(lam[b], lam[a].conj())
+        assert_array_equal(v[:, b], v[:, a].conj())
+        assert np.all(lam[a].imag > 0)
+        assert np.all(lam.imag[np.setdiff1d(np.arange(dec.n), dec.pairs)] == 0)
+        idx = [3, 0, dec.n - 1, 3]
+        assert_array_equal(dec.right_columns(idx), v[:, idx])
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(dec.n)
+        z = x + 1j * rng.standard_normal(dec.n)
+        for y in (x, z):
+            assert_allclose(dec.left_apply(y), u @ y, rtol=0, atol=1e-13 * np.linalg.norm(y))
+            assert_allclose(dec.right_apply(y), v @ y, rtol=0, atol=1e-13 * np.linalg.norm(y))
+        # U* of a real x is conjugate-symmetric, so V maps it back to a real x.
+        assert_allclose(dec.right_apply(dec.left_apply(x)), x, rtol=0, atol=1e-13)
+        assert not dec.right_apply(dec.left_apply(x)).imag.any()
 
 
 class TestArrayRule:

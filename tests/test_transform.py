@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bgft
+from bgft import linalg
 from bgft.errors import InvalidSizeError
 from bgft.transform import FilterSpec
 
@@ -116,6 +117,35 @@ class TestAnalyzeSynthesize:
             lhs = bgft.analyze(basis, op.l_rw @ x)
             rhs = (1.0 - basis.eigenvalues) * bgft.analyze(basis, x)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1, np.linalg.norm(rhs))
+
+
+class TestFrames:
+    @pytest.mark.parametrize("make,solver", [
+        (lambda: bgft.add_directed_chord(bgft.directed_cycle(64), 20, 0, 32), "geev"),
+        (lambda: random_reversible_graph(32, 5), "eigh"),
+    ], ids=["dgeev", "eigh"])
+    def test_library_paths_never_assemble_complex_arrays(self, make, solver, monkeypatch):
+        op = bgft.transition(make())
+        basis = bgft.decompose(op)
+        assert basis.eig.solver == solver
+
+        def assembled(eig):
+            raise AssertionError("the complex V or U* was assembled")
+
+        monkeypatch.setattr(linalg.EigenDecomposition, "right_vectors", property(assembled))
+        monkeypatch.setattr(linalg.EigenDecomposition, "left_dual", property(assembled))
+        x = np.random.default_rng(8).standard_normal(op.n)
+        bgft.synthesize(basis, bgft.analyze(basis, x))
+        bgft.apply_filter(basis, FilterSpec.heat(2.0), x)
+        bgft.apply_filter(basis, FilterSpec.ideal_lowpass(5), x)
+        bgft.diffuse_spectral(basis, x, 7)
+        assert "pi_metric" not in vars(basis)
+        bgft.energy_report(basis, bgft.stationary(op), x)
+        omega = bgft.select_band(basis, 4)
+        m_set = bgft.greedy_sampling_set(basis, omega, 8)
+        x_true = bgft.random_bandlimited(basis, omega, 3)
+        bgft.reconstruct(basis, omega, m_set, bgft.sample(x_true, m_set), x_true=x_true)
+        bgft.noise_bound(basis, omega, m_set, 1e-3)
 
 
 # Each function of the diffusion time t, called as f(op, basis, x, t).
@@ -324,21 +354,23 @@ class TestBounds:
 
 def _energy_reference(basis, dist, x):
     """energy_report computed from scratch on every call: W = Pi^{1/2} V with
-    unit-norm columns and its full SVD.  The reference for the cached path."""
+    unit-norm columns, its full SVD taken, as in BgftBasis.pi_metric, on the
+    real frame of V, and U* x from its frame.  The reference for the cached
+    path."""
     x = np.asarray(x)
     pi = dist.pi
-    xhat = basis.left_dual @ x
-    w = np.sqrt(pi)[:, None] * basis.right_vectors
-    scale = np.linalg.norm(w, axis=0)
-    w = w / scale
+    xhat = basis.eig.left_apply(x)
+    gram_energy = float(np.sum(pi * np.abs(basis.right_vectors @ xhat) ** 2))
+    w = np.sqrt(pi)[:, None] * basis.eig.right_frame
+    scale = linalg.frame_norms(w, basis.eig.pairs)
     xhat = xhat * scale
-    sw = np.linalg.svd(w, compute_uv=False)
+    sw = np.linalg.svd(w / scale, compute_uv=False)
     mode_sum = float(np.sum(np.abs(1.0 - basis.eigenvalues) ** 2 * np.abs(xhat) ** 2))
     p = basis.operator.p  # a complex P x as two real products, as apply forms it
     px = p @ x if np.isrealobj(x) else p @ x.real + 1j * (p @ x.imag)
     return bgft.EnergyReport(
         pi_energy=float(np.sum(pi * np.abs(x) ** 2)),
-        gram_energy=float(np.sum(np.abs(w @ xhat) ** 2)),
+        gram_energy=gram_energy,
         sigma_w_min=float(sw[-1]),
         sigma_w_max=float(sw[0]),
         tv_pi=float(np.sum(pi * np.abs(x - px) ** 2)),

@@ -9,13 +9,16 @@ drawing the random graphs and the chord from one seed, and for a sixth
 kind, the star joining node 0 to node i by weight i (reversible, with a
 degenerate eigenvalue 0 and a non-uniform pi).  It times
 linalg.eig_general on each P, --repeats calls in a row after one untimed
-call.  The trees run in the order old, new, new, old, so a drift of the
+call, and measures one more call under tracemalloc: the MiB it keeps (the
+returned decomposition) and the MiB it peaks at.  The trees run in the order old, new, new, old, so a drift of the
 machine's speed during the runs weighs on both alike.  For each size and
-kind the script prints each tree's solver label, cond_v, residual (the one
-its route reports) and the min and median seconds over its 2 x --repeats
-calls, then the largest absolute difference between the trees'
-eigenvalues, right vectors V and left duals U* (from each tree's first
-run).  The basis of a degenerate cluster is
+kind the script prints each tree's solver label, cond_v, tracemalloc's
+retained and peak MiB (from its first run), residual (the one its route
+reports) and the min and median seconds over its 2 x --repeats calls, then
+the largest absolute difference between the trees' eigenvalues, right
+vectors V and left duals U* (each tree's V and U* as its public
+right_vectors and left_dual give them, from its first run), and the
+relative difference of cond_v.  The basis of a degenerate cluster is
 arbitrary, so V and U* may differ by O(1) where the trees split one
 differently; the eigenvalues may not.  It ends with the numpy and OpenBLAS
 versions, and exits 1 if any solver label differs.
@@ -37,10 +40,10 @@ import numpy as np
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIELDS = {"lambda": "eigenvalues", "V": "right_vectors", "U*": "left_dual"}
 
-# Run in the child: every (n, kind)'s solver, cond_v, residual and seconds on stdout, its
-# eigenvalues, V and U* in the .npz named by argv[1].
+# Run in the child: every (n, kind)'s solver, cond_v, residual, seconds and traced MiB on
+# stdout, its eigenvalues, V and U* in the .npz named by argv[1].
 CHILD = """
-import json, sys, time
+import json, sys, time, tracemalloc
 import numpy as np
 import workloads
 from bgft import graphs, linalg, markov
@@ -62,12 +65,18 @@ for n in map(int, sys.argv[4:]):
     for kind, a in adjacency.items():
         p = markov.transition(graphs.DirectedGraph(a)).p
         linalg.eig_general(p)  # untimed: the first calls of a process run slow
+        tracemalloc.start()
+        dec = linalg.eig_general(p)
+        retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        del dec
         seconds = []
         for _ in range(repeats):
             t0 = time.perf_counter()
             dec = linalg.eig_general(p)
             seconds.append(time.perf_counter() - t0)
-        rows.append([n, kind, dec.solver, dec.cond_v, dec.residual, seconds])
+        rows.append([n, kind, dec.solver, dec.cond_v, dec.residual, seconds,
+                     retained / 2**20, peak / 2**20])
         for name in ("eigenvalues", "right_vectors", "left_dual"):
             arrays[f"{n} {kind} {name}"] = getattr(dec, name)
 np.savez(out, **arrays)
@@ -108,9 +117,10 @@ def main(argv) -> int:
     for j, (n, kind, *_) in enumerate(res["old"][0]["rows"]):
         parts = []
         for tree, runs in res.items():
-            solver, cond_v, residual = runs[0]["rows"][j][2:5]
+            solver, cond_v, residual, _, retained, peak = runs[0]["rows"][j][2:8]
             seconds = [s for r in runs for s in r["rows"][j][5]]
-            parts.append(f"{tree} {solver} cond_v {cond_v:.4g}, residual {residual:.2e}, "
+            parts.append(f"{tree} {solver} cond_v {cond_v:.4g}, {retained:.2f} MiB retained, "
+                         f"{peak:.2f} MiB peak, residual {residual:.2e}, "
                          f"{min(seconds) * 1e3:.1f} ms min, "
                          f"{statistics.median(seconds) * 1e3:.1f} ms median")
         labels_differ |= res["old"][0]["rows"][j][2] != res["new"][0]["rows"][j][2]
@@ -118,7 +128,9 @@ def main(argv) -> int:
         diffs = ", ".join(
             f"{label} {np.max(np.abs(arrays['old'][key + field] - arrays['new'][key + field])):.1e}"
             for label, field in FIELDS.items())
-        print(f"n={n} {kind}: {'; '.join(parts)}; max |old - new|: {diffs}")
+        cond = [res[tree][0]["rows"][j][3] for tree in ("old", "new")]
+        print(f"n={n} {kind}: {'; '.join(parts)}; max |old - new|: {diffs}, "
+              f"cond_v {abs(cond[1] - cond[0]) / cond[0]:.1e} relative")
     for tree, runs in res.items():
         print(f"{tree}: numpy {runs[0]['numpy']}, OpenBLAS {runs[0]['blas']}, "
               f"{len(runs) * args.repeats} calls per kind")
