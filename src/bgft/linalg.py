@@ -214,7 +214,7 @@ def _from_frame(f, pairs, idx, sign) -> np.ndarray:
     r = role[idx]
     re = np.where(r < 0, partner[idx], idx)
     scale = np.where(r == 0, 1.0, np.sqrt(0.5))
-    out = np.empty((f.shape[0], idx.size), complex)
+    out = np.empty((f.shape[0], idx.size), complex, order="F")
     np.multiply(f[:, re], scale, out=out.real)
     np.multiply(f[:, partner[re]], sign * r * scale, out=out.imag)
     return out

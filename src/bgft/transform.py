@@ -7,9 +7,9 @@ act diagonally.  Modes ascend in decay rate omega_k = Re(1 - lambda_k).
 
 The basis is held as linalg.EigenDecomposition's real frames, and every
 function here applies it through them: analysis and synthesis are real
-GEMVs for a real signal (two for a complex one), the band's columns are
-assembled in O(n K), and pi_metric's SVD is real.  No function here forms
-the complex n x n V or U*.
+GEMVs for a real signal (two for a complex one), and pi_metric's SVD is
+real.  Only filter_matrix, which materializes H, forms a complex n x n
+array.
 """
 
 from __future__ import annotations
