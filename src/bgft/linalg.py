@@ -29,6 +29,7 @@ limited only by memory and O(n^3) runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
 
 import numpy as np
@@ -149,32 +150,52 @@ class EigenDecomposition:
     @property
     def left_dual(self) -> np.ndarray:
         """U*, assembled from dual_frame on every access."""
-        return _from_frame(self.dual_frame.T, self.pairs, np.arange(self.n), -1).T
+        return _from_frame(self.dual_frame.T, self._t, np.arange(self.n), -1).T
 
     def right_columns(self, idx) -> np.ndarray:
         """V[:, idx] in O(n |idx|)."""
-        return _from_frame(self.right_frame, self.pairs, np.asarray(idx, dtype=int), 1)
+        return _from_frame(self.right_frame, self._t, np.asarray(idx, dtype=int), 1)
 
     def left_apply(self, x) -> np.ndarray:
-        """U* x = T (dual_frame x), complex128, for x of shape (n,) or (n, k):
-        real products on a real frame."""
+        """U* x = T (dual_frame x) for a vector x, complex128: one real GEMV
+        for a real x on a real frame."""
+        re, im, re_coef, _, dual_coef = self._t[:5]
         y = product(self.dual_frame, x)
-        c = y.astype(complex)
-        a, b = self.pairs
-        c[a], c[b] = (y[a] - 1j * y[b]) * np.sqrt(0.5), (y[a] + 1j * y[b]) * np.sqrt(0.5)
-        return c
+        return y[re] * re_coef + y[im] * dual_coef
 
     def right_apply(self, c) -> np.ndarray:
-        """V c = right_frame (T^H c), complex128, for c of shape (n,) or (n, k).
-        T^H c is real, and the product one real GEMV, when c is real on the
-        real eigenvalues and c_b = conj(c_a) on each pair, as U* x is for a
-        real x."""
-        g = np.array(c, dtype=complex)
-        a, b = self.pairs
-        g[a], g[b] = (g[a] + g[b]) * np.sqrt(0.5), 1j * (g[a] - g[b]) * np.sqrt(0.5)
+        """V c = right_frame (T^H c) for a vector c, complex128.  T^H c is
+        real, and the product one real GEMV, when c is real on the real
+        eigenvalues and c_b = conj(c_a) on each pair, as U* x is for a real
+        x."""
+        partner, p, q = self._t[5:]
+        g = c * p + c[partner] * q
         if np.isrealobj(self.right_frame) and not g.imag.any():
             g = g.real
         return product(self.right_frame, g).astype(complex, copy=False)
+
+    @cached_property
+    def _t(self) -> tuple:
+        """T as O(n) gathers, from pairs: (re, im, re_coef, im_coef,
+        dual_coef, partner, p, q).  Column k of F T^H is re_coef_k f_{re_k} +
+        i im_coef_k f_{im_k}, row k of T G is re_coef_k g_{re_k} + dual_coef_k
+        g_{im_k} with dual_coef = -i im_coef, and (T^H c)_k = p_k c_k + q_k
+        c_{partner_k}.  A lone k has re = im = partner = k, coefficients 1,
+        0, 0, 1 and 0; a pair (a, b) has re = a and im = b for both, re_coef
+        = 1/sqrt(2), im_coef = 1/sqrt(2) at a and -1/sqrt(2) at b, p =
+        1/sqrt(2) at a and -i/sqrt(2) at b, q = 1/sqrt(2) at a and i/sqrt(2)
+        at b."""
+        n, (a, b) = self.n, self.pairs
+        h = np.sqrt(0.5)
+        re, im, partner = np.arange(n), np.arange(n), np.arange(n)
+        re[b], im[a] = a, b
+        partner[a], partner[b] = b, a
+        re_coef, im_coef = np.ones(n), np.zeros(n)
+        re_coef[a] = re_coef[b] = im_coef[a] = h
+        im_coef[b] = -h
+        p, q = np.ones(n, complex), np.zeros(n, complex)
+        p[a], p[b], q[a], q[b] = h, -1j * h, h, 1j * h
+        return re, im, re_coef, im_coef, -1j * im_coef, partner, p, q
 
 
 def product(a, x) -> np.ndarray:
@@ -204,19 +225,16 @@ def _pair_roles(n, pairs) -> tuple:
     return partner, role
 
 
-def _from_frame(f, pairs, idx, sign) -> np.ndarray:
-    """Columns idx of F T^H (sign 1) or of F T^T (sign -1) as complex128:
-    (f_a + sign i f_b) / sqrt(2) at a pair's a, (f_a - sign i f_b) / sqrt(2)
-    at its b, and f_k at a lone column k."""
+def _from_frame(f, t, idx, sign) -> np.ndarray:
+    """Columns idx of F T^H (sign 1) or of F T^T (sign -1) as complex128, t
+    being EigenDecomposition._t: (f_a + sign i f_b) / sqrt(2) at a pair's a,
+    (f_a - sign i f_b) / sqrt(2) at its b, and f_k at a lone column k."""
     if np.iscomplexobj(f):  # a complex m: no pairs
         return f[:, idx]
-    partner, role = _pair_roles(f.shape[1], pairs)
-    r = role[idx]
-    re = np.where(r < 0, partner[idx], idx)
-    scale = np.where(r == 0, 1.0, np.sqrt(0.5))
+    re, im, re_coef, im_coef = t[:4]
     out = np.empty((f.shape[0], idx.size), complex, order="F")
-    np.multiply(f[:, re], scale, out=out.real)
-    np.multiply(f[:, partner[re]], sign * r * scale, out=out.imag)
+    np.multiply(f[:, re[idx]], re_coef[idx], out=out.real)
+    np.multiply(f[:, im[idx]], sign * im_coef[idx], out=out.imag)
     return out
 
 

@@ -72,8 +72,10 @@ class TransitionOperator:
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
         view = self._row_view
-        if view is None:  # p @ x would cast all of P to a complex x's type
-            return linalg.product(self.p, x)
+        if view is None:
+            if np.iscomplexobj(x):  # p @ x would cast all of P to complex
+                return self.p @ x.real + 1j * (self.p @ x.imag)
+            return self.p @ x
         starts, cols, values = view
         return np.add.reduceat(values * x[cols], starts)
 

@@ -6,10 +6,9 @@ Analysis is xhat = U* x, synthesis x = V xhat; diffusion and spectral filters
 act diagonally.  Modes ascend in decay rate omega_k = Re(1 - lambda_k).
 
 The basis is held as linalg.EigenDecomposition's real frames, and every
-function here applies it through them: analysis and synthesis are real
-GEMVs for a real signal (two for a complex one), and pi_metric's SVD is
-real.  Only filter_matrix, which materializes H, forms a complex n x n
-array.
+function here but filter_matrix, which materializes H, applies it through
+them: analysis and synthesis are real GEMVs for a real signal (two for a
+complex one), and pi_metric's SVD is real.
 """
 
 from __future__ import annotations
@@ -176,7 +175,7 @@ def synthesize(basis: BgftBasis, xhat) -> np.ndarray:
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
     """values, or ValueError naming what overflowed."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"signal is too large: {what} float64")
     return values
 
@@ -205,8 +204,8 @@ def apply_filter(basis: BgftBasis, spec: FilterSpec, x) -> np.ndarray:
 
 def filter_matrix(basis: BgftBasis, spec: FilterSpec) -> np.ndarray:
     """Materialize H = V h(Lambda) U* (apply_filter is the cheap path)."""
-    eig = basis.eig
-    return eig.right_apply(spec.response(basis)[:, None] * eig.left_apply(np.eye(basis.n)))
+    h = spec.response(basis)
+    return (basis.right_vectors * h) @ basis.left_dual
 
 
 def iterate_bound(basis: BgftBasis, t: int) -> float:
@@ -240,7 +239,7 @@ def energy_report(basis: BgftBasis, dist: StationaryDistribution, x) -> EnergyRe
     xhat = analyze(basis, x)
 
     pi_energy = float(np.sum(pi * np.abs(x) ** 2))
-    gram_energy = float(np.sum(pi * np.abs(synthesize(basis, xhat)) ** 2))
+    gram_energy = float(np.sum(pi * np.abs(basis.eig.right_apply(xhat)) ** 2))
 
     lx = x - basis.operator.apply(x)
     tv_pi = float(np.sum(pi * np.abs(lx) ** 2))
