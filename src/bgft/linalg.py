@@ -589,18 +589,19 @@ def _conventional_basis(m, lam, f, pairs, w, residual, solver: str) -> EigenDeco
     f /= frame_norms(f, pairs)
     a, b = pairs
     modulus = np.abs(f)  # of V's entries: a pair's is hypot(f_a, f_b) / sqrt(2)
-    modulus[:, a] = modulus[:, b] = np.hypot(modulus[:, a], modulus[:, b])
+    if a.size:
+        modulus[:, a] = modulus[:, b] = np.hypot(modulus[:, a], modulus[:, b])
     first = np.argmax(modulus >= (1 - PHASE_TOL) * modulus.max(axis=0), axis=0)
     pivot, r = f[first, np.arange(n)], modulus[first, np.arange(n)]
     del modulus
-    lone = role == 0
-    unit = np.ones(n, f.dtype)
-    unit[lone] = np.conj(pivot[lone]) / r[lone]
+    unit = np.conj(pivot) / r
+    unit[a] = unit[b] = 1.0
     f *= unit
-    # A pair's v_a = (f_a + i f_b) / sqrt(2) turns by the conjugate phase of
-    # its pivot x + iy = r (c + is): f_a, f_b -> c f_a + s f_b, c f_b - s f_a.
-    c, s = pivot[a] / r[a], pivot[b] / r[a]
-    f[:, a], f[:, b] = f[:, a] * c + f[:, b] * s, f[:, b] * c - f[:, a] * s
+    if a.size:
+        # A pair's v_a = (f_a + i f_b) / sqrt(2) turns by the conjugate phase
+        # of its pivot x + iy = r (c + is): f_a, f_b -> c f_a + s f_b, c f_b - s f_a.
+        c, s = pivot[a] / r[a], pivot[b] / r[a]
+        f[:, a], f[:, b] = f[:, a] * c + f[:, b] * s, f[:, b] * c - f[:, a] * s
 
     sigma = np.linalg.svd(f, compute_uv=False)
     if sigma[-1] <= RANK_RCOND * sigma[0]:
@@ -611,8 +612,9 @@ def _conventional_basis(m, lam, f, pairs, w, residual, solver: str) -> EigenDeco
     if w is None:
         r = m @ f
         r -= f * lam_f
-        r[:, a] += f[:, b] * lam.imag[a]
-        r[:, b] -= f[:, a] * lam.imag[a]
+        if a.size:
+            r[:, a] += f[:, b] * lam.imag[a]
+            r[:, b] -= f[:, a] * lam.imag[a]
         residual = np.linalg.norm(r)
         del r
         u = np.linalg.inv(f)
