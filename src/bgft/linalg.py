@@ -160,7 +160,7 @@ class EigenDecomposition:
         """U* x = T (dual_frame x) for a vector x, complex128: one real GEMV
         for a real x on a real frame."""
         re, im, re_coef, _, dual_coef = self._t[:5]
-        y = product(self.dual_frame, x)
+        y = _product(self.dual_frame, x)
         return y[re] * re_coef + y[im] * dual_coef
 
     def right_apply(self, c) -> np.ndarray:
@@ -172,7 +172,7 @@ class EigenDecomposition:
         g = c * p + c[partner] * q
         if np.isrealobj(self.right_frame) and not g.imag.any():
             g = g.real
-        return product(self.right_frame, g).astype(complex, copy=False)
+        return _product(self.right_frame, g).astype(complex, copy=False)
 
     @cached_property
     def _t(self) -> tuple:
@@ -198,7 +198,7 @@ class EigenDecomposition:
         return re, im, re_coef, im_coef, -1j * im_coef, partner, p, q
 
 
-def product(a, x) -> np.ndarray:
+def _product(a, x) -> np.ndarray:
     """a @ x, a complex x on a real a taken as its real and imaginary parts,
     so that a is never cast to complex."""
     if np.iscomplexobj(x) and not np.iscomplexobj(a):
@@ -419,7 +419,7 @@ def _refined(s, f, lam, pairs) -> np.ndarray:
     mu_i - mu_k and mu_i - conj mu_k."""
     n = f.shape[0]
     a, b = pairs
-    lone = np.flatnonzero(_pair_roles(n, pairs)[1] == 0)
+    lone = np.setdiff1d(np.arange(n), pairs)
     mu_l, mu_p = lam[lone].real, lam[a].conj()
     x = f.T @ (s @ f)
     y = np.empty((n, n))
@@ -556,7 +556,7 @@ def _conventional_basis(m, lam, f, pairs, w, residual, solver: str) -> EigenDeco
         # eigendirections that QR would destroy, so the swap is kept only
         # when the block residual stays at roundoff level.
         def invariant(q, mu):
-            return np.linalg.norm(product(m, q) - q * mu) <= 1e-10 * max(1.0, m_norm)
+            return np.linalg.norm(_product(m, q) - q * mu) <= 1e-10 * max(1.0, m_norm)
 
         # |lambda_i - lambda_j|^2 from real parts, in place: no complex n x n.
         gap, im = np.subtract.outer(lam.real, lam.real), np.subtract.outer(lam.imag, lam.imag)
