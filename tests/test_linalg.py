@@ -462,6 +462,11 @@ class TestFrames:
         if kind in ("perturbed-cycle", "random-nonreversible"):
             assert dec.solver == "geev"
             assert peak <= 4
+        if kind == "directed-cycle":
+            # The normal split: _split's copies of Q and S Q set the peak
+            # (6.1), and _refined works within it.
+            assert dec.solver == "geev"
+            assert peak <= 6.2
 
     def test_complex_input(self):
         rng = np.random.default_rng(6)
