@@ -185,16 +185,12 @@ class EigenDecomposition:
         = 1/sqrt(2), im_coef = 1/sqrt(2) at a and -1/sqrt(2) at b, p =
         1/sqrt(2) at a and -i/sqrt(2) at b, q = 1/sqrt(2) at a and i/sqrt(2)
         at b."""
-        n, (a, b) = self.n, self.pairs
-        h = np.sqrt(0.5)
-        re, im, partner = np.arange(n), np.arange(n), np.arange(n)
-        re[b], im[a] = a, b
-        partner[a], partner[b] = b, a
-        re_coef, im_coef = np.ones(n), np.zeros(n)
-        re_coef[a] = re_coef[b] = im_coef[a] = h
-        im_coef[b] = -h
-        p, q = np.ones(n, complex), np.zeros(n, complex)
-        p[a], p[b], q[a], q[b] = h, -1j * h, h, 1j * h
+        partner, role = _pair_roles(self.n, self.pairs)
+        k, h = np.arange(self.n), np.sqrt(0.5)
+        re, im = np.where(role < 0, partner, k), np.where(role > 0, partner, k)
+        re_coef, im_coef = np.where(role == 0, 1.0, h), role * h
+        p = np.where(role < 0, -1j * h, re_coef)
+        q = np.where(role < 0, 1j * h, im_coef)
         return re, im, re_coef, im_coef, -1j * im_coef, partner, p, q
 
 
