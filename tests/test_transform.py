@@ -356,7 +356,7 @@ def _energy_reference(basis, dist, x):
     """energy_report computed from scratch on every call: W = Pi^{1/2} V with
     unit-norm columns, its full SVD taken, as in BgftBasis.pi_metric, on the
     real frame of V, and U* x from its frame.  The reference for the cached
-    path."""
+    path, bit for bit."""
     x = np.asarray(x)
     pi = dist.pi
     xhat = basis.eig.left_apply(x)
@@ -377,6 +377,33 @@ def _energy_reference(basis, dist, x):
         tv_lower=float(sw[-1] ** 2) * mode_sum,
         tv_upper=float(sw[0] ** 2) * mode_sum,
     )
+
+
+def _energy_oracle(basis, dist, x):
+    """energy_report from the assembled complex V and U*, independent of the
+    frames: U* x as a product, and W = Pi^{1/2} V with unit-norm columns and
+    its SVD.  Also returns the scale of the mode sums' roundoff, max |1 -
+    lambda_k|^2 ||diag(s) U* x||^2."""
+    x = np.asarray(x)
+    pi = dist.pi
+    xhat = basis.left_dual @ x
+    w = np.sqrt(pi)[:, None] * basis.right_vectors
+    scale = np.linalg.norm(w, axis=0)
+    w = w / scale
+    xhat = xhat * scale
+    sw = np.linalg.svd(w, compute_uv=False)
+    gap = np.abs(1.0 - basis.eigenvalues) ** 2
+    mode_sum = float(np.sum(gap * np.abs(xhat) ** 2))
+    report = bgft.EnergyReport(
+        pi_energy=float(np.sum(pi * np.abs(x) ** 2)),
+        gram_energy=float(np.sum(np.abs(w @ xhat) ** 2)),
+        sigma_w_min=float(sw[-1]),
+        sigma_w_max=float(sw[0]),
+        tv_pi=float("nan"),
+        tv_lower=float(sw[-1] ** 2) * mode_sum,
+        tv_upper=float(sw[0] ** 2) * mode_sum,
+    )
+    return report, float(gap.max() * np.sum(np.abs(xhat) ** 2))
 
 
 @pytest.fixture
@@ -421,6 +448,16 @@ class TestEnergy:
                 want = _energy_reference(basis, dist, x)
                 assert got.gram_energy == pytest.approx(want.gram_energy, rel=1e-14)
                 assert dataclasses.replace(got, gram_energy=want.gram_energy) == want
+                # The frames against the assembled V and U*: sigma(W) and the
+                # pair norms of frame_norms, and U* x through left_apply.
+                oracle, mode_scale = _energy_oracle(basis, dist, x)
+                tol = 1e-13 * basis.eig.cond_v
+                for field in ("gram_energy", "sigma_w_min", "sigma_w_max"):
+                    assert getattr(got, field) == pytest.approx(getattr(oracle, field), rel=tol)
+                for field, sigma in (("tv_lower", oracle.sigma_w_min),
+                                     ("tv_upper", oracle.sigma_w_max)):
+                    bound = tol * (getattr(oracle, field) + sigma**2 * mode_scale)
+                    assert abs(getattr(got, field) - getattr(oracle, field)) <= bound
 
     def test_dist_must_be_stationary(self, canonical_bases):
         op, basis = canonical_bases["perturbed"]
