@@ -182,6 +182,13 @@ def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:
     return SamplingSet(nodes=tuple(rng.choice(n, size=m, replace=False)))
 
 
+# The greedy search's one tolerance: a set must beat the best so far by more
+# than this in sigma_min to replace it, in a growth step, an exchange and the
+# comparison of restarts.  Sets that tie in exact arithmetic differ in
+# sigma_min only by the SVD's and the eigensolver's roundoff (~1e-15), so
+# their order, not that roundoff, decides between them.
+TIE_TOL = 1e-12
+
 # Most complex entries in the (bases, n, K) temporary of one step of a stacked
 # _sigma_min_sq_bounds call; a larger stack is bounded in chunks of bases.
 BOUND_CHUNK_ENTRIES = 1 << 18
@@ -249,7 +256,8 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     One greedy run per choice of first node (the first additions are myopic,
     so a single run stalls in poor local optima), each followed by
     first-improvement single-node exchange; the best final set wins.
-    Deterministic: ties go to the smallest node index.
+    Deterministic: sets within TIE_TOL in sigma_min tie, and ties go to the
+    candidate scanned first (the smallest node index).
 
     The restarts keep reaching the same sets, so sigma_min is memoized per
     node set (keyed by its bitmask, computed on its sorted rows, so the value
@@ -268,14 +276,18 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     margin of 1e-9 * (lam_max + max |v|**2) above roundoff.  A growth step
     first scores the first candidate with the largest bound and uses its
     sigma_min**2 as the floor; an exchange scan's floor is
-    (current + 1e-12)**2.  Only the candidates whose bound exceeds the floor
-    are keyed, looked up in the memo and, if new, sent to the SVD; the rest
-    are skipped, memoized or not.  A skipped growth candidate lies far more
-    than the 1e-15 tie tolerance below the scored one, so it can neither win
-    nor, by entering the sequential tie rule first, block the winner; a
-    skipped exchange candidate cannot be an improvement.  Exact values still
-    come only from the SVD, so every decision, and the returned set, is the
-    one the unscreened search makes.
+    (current + TIE_TOL)**2.  Only the candidates whose bound exceeds the
+    floor are keyed, looked up in the memo and, if new, sent to the SVD; the
+    rest are skipped, memoized or not.  A skipped growth candidate's
+    sigma_min**2 lies at least the margin below the scored one's, so its
+    sigma_min lies at least 5e-10 sqrt(lam_max + max |v|**2) >= 5e-10 sqrt(K
+    / n) below (V_Omega's K columns have unit norm): 88 TIE_TOL at n = 32,
+    7.8 TIE_TOL at graphs.MAX_NODES.  The 1e-9 margin is that far above the
+    tie tolerance, so a skipped candidate cannot win, and it could block the
+    winner only through a chain of candidates less than TIE_TOL apart
+    across the whole gap; a skipped exchange candidate cannot be an
+    improvement.  Exact values still come only from the SVD, so every
+    decision, and the returned set, is the one the unscreened search makes.
     """
     n = basis.n
     m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
@@ -339,7 +351,7 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
         for _ in range(m - 1):
             best_i, best_sigma = 0, -1.0
             for i, s in zip(*(yield from scan(chosen, mask, remaining))):
-                if s > best_sigma + 1e-15:
+                if s > best_sigma + TIE_TOL:
                     best_i, best_sigma = i, s
             chosen.append(remaining.pop(best_i))
             mask |= 1 << chosen[-1]
@@ -351,8 +363,8 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
                 j = 0
                 while j < len(remaining):
                     live, trial = yield from scan(chosen, mask, remaining[j:], pos,
-                                                  (current + 1e-12) ** 2)
-                    hit = next((t for t, s in enumerate(trial) if s > current + 1e-12), None)
+                                                  (current + TIE_TOL) ** 2)
+                    hit = next((t for t, s in enumerate(trial) if s > current + TIE_TOL), None)
                     if hit is None:
                         break
                     # Swap: the old node rejoins the candidates at the end,
@@ -381,6 +393,6 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
 
     best_set, best_val = None, -1.0
     for chosen, val in results:
-        if val > best_val + 1e-15:
+        if val > best_val + TIE_TOL:
             best_set, best_val = chosen, val
     return SamplingSet(nodes=tuple(best_set))

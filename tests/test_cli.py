@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -197,6 +198,22 @@ class TestDiffuse:
                     "--format", "json"], out) == 0
         norms = [r["norm"] for r in json.loads(out.read_text())]
         assert norms == pytest.approx([1.6e7] * 21, rel=1e-12)
+
+    def test_bound_exceeded_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # With the bound halved, the first iterate (t = 0, norm ||x||)
+        # already exceeds it: one error line and exit status 1 (main
+        # returns, so nothing was raised), and no output file.
+        path = tmp_path / "ones.sig"
+        path.write_text("1.0\n" * 8)
+        iterate_bound = bgft.transform.iterate_bound
+        monkeypatch.setattr(bgft.transform, "iterate_bound",
+                            lambda basis, t: iterate_bound(basis, t) / 2)
+        out = tmp_path / "traj.json"
+        assert run(["diffuse", str(path), "--graph", "directed-cycle", "--n", "8"], out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(r"error: iterate norm \S+ exceeds bound \S+ at t=0\n", err)
+        assert not out.exists()
 
     def test_ones_norm_sqrt_n(self, tmp_path):
         path = tmp_path / "ones.sig"

@@ -345,7 +345,7 @@ def naive_greedy(v_o, m):
             best_node, best_sigma = remaining[0], -1.0
             for cand in remaining:
                 sigma = sigma_min(chosen + [cand])
-                if sigma > best_sigma + 1e-15:
+                if sigma > best_sigma + 1e-12:
                     best_node, best_sigma = cand, sigma
             chosen.append(best_node)
             remaining.remove(best_node)
@@ -368,7 +368,7 @@ def naive_greedy(v_o, m):
     best_set, best_val = None, -1.0
     for start in range(n):
         chosen, val = one_run(start)
-        if val > best_val + 1e-15:
+        if val > best_val + 1e-12:
             best_set, best_val = chosen, val
     return tuple(sorted(best_set))
 
@@ -403,16 +403,29 @@ class TestGreedySearch:
     @pytest.mark.parametrize("kind,n,k,m", design_cases(("undirected",), (12, 16)))
     def test_symmetric_graph_as_good_as_naive_search(self, kind, n, k, m):
         # Exact symmetries make many sets tie in sigma_min to ~1e-15, where
-        # row order decides the tie; the chosen set must be as good.
+        # the row order of the SVD moves the roundoff; the tie tolerance,
+        # far above it, decides them as the naive search does.
         basis = bgft.decompose(bgft.transition(design_graph(kind, n)))
         omega = bgft.select_band(basis, k)
         v_o = bgft.band_vectors(basis, omega)
+        assert bgft.greedy_sampling_set(basis, omega, m).nodes == naive_greedy(v_o, m)
 
-        def sigma_min(nodes):
-            return np.linalg.svd(v_o[list(nodes), :], compute_uv=False)[-1]
-
-        new = bgft.greedy_sampling_set(basis, omega, m).nodes
-        assert sigma_min(new) >= sigma_min(naive_greedy(v_o, m)) * (1 - 1e-12)
+    @pytest.mark.parametrize("kind,n,k,m", [
+        ("directed", 16, 2, 4), ("directed", 16, 2, 8), ("undirected", 12, 3, 5)])
+    def test_ties_survive_roundoff(self, kind, n, k, m, monkeypatch):
+        # V_Omega perturbed by a relative 1e-14, as another eigensolver's
+        # roundoff would move it: sets that tie in exact arithmetic must
+        # still be decided alike by both searches.  Under a 1e-15 tie
+        # tolerance 15, 10 and 13 of the 20 trials passed.
+        basis = bgft.decompose(bgft.transition(design_graph(kind, n)))
+        omega = bgft.select_band(basis, k)
+        v_o = bgft.band_vectors(basis, omega)
+        rng = np.random.default_rng(100 * n + m)
+        for _ in range(20):
+            noise = rng.standard_normal(v_o.shape) + 1j * rng.standard_normal(v_o.shape)
+            noisy = v_o * (1 + 1e-14 * noise)
+            monkeypatch.setattr(bgft.sampling, "band_vectors", lambda *args: noisy)
+            assert bgft.greedy_sampling_set(basis, omega, m).nodes == naive_greedy(noisy, m)
 
     @pytest.mark.parametrize("m", [1, 6])
     def test_each_set_decomposed_once(self, m, monkeypatch):
@@ -473,7 +486,7 @@ def memoized_greedy(v_o, m):
         for _ in range(m - 1):
             best_i, best_sigma = 0, -1.0
             for i, s in enumerate(scan(chosen, mask, remaining)):
-                if s > best_sigma + 1e-15:
+                if s > best_sigma + 1e-12:
                     best_i, best_sigma = i, s
             chosen.append(remaining.pop(best_i))
             mask |= 1 << chosen[-1]
@@ -500,7 +513,7 @@ def memoized_greedy(v_o, m):
     best_set, best_val = None, -1.0
     for start in range(n):
         chosen, val = one_run(start)
-        if val > best_val + 1e-15:
+        if val > best_val + 1e-12:
             best_set, best_val = chosen, val
     return tuple(sorted(best_set))
 

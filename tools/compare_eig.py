@@ -18,9 +18,9 @@ reports) and the min and median seconds over its 2 x --repeats calls, then
 the largest absolute difference between the trees' eigenvalues, right
 vectors V and left duals U* (each tree's V and U* as its public
 right_vectors and left_dual give them, from its first run), and the
-relative difference of cond_v.  The basis of a degenerate cluster is
-arbitrary, so V and U* may differ by O(1) where the trees split one
-differently; the eigenvalues may not.  It ends with the numpy and OpenBLAS
+relative differences of cond_v and of the residual.  The basis of a
+degenerate cluster is arbitrary, so V and U* may differ by O(1) where the
+trees split one differently; the eigenvalues may not.  It ends with the numpy and OpenBLAS
 versions, and exits 1 if any solver label differs.
 """
 
@@ -128,9 +128,10 @@ def main(argv) -> int:
         diffs = ", ".join(
             f"{label} {np.max(np.abs(arrays['old'][key + field] - arrays['new'][key + field])):.1e}"
             for label, field in FIELDS.items())
-        cond = [res[tree][0]["rows"][j][3] for tree in ("old", "new")]
-        print(f"n={n} {kind}: {'; '.join(parts)}; max |old - new|: {diffs}, "
-              f"cond_v {abs(cond[1] - cond[0]) / cond[0]:.1e} relative")
+        old, new = (res[tree][0]["rows"][j][3:5] for tree in ("old", "new"))
+        rel = ", ".join(f"{label} {abs(b - a) / a:.1e} relative"
+                        for label, a, b in zip(("cond_v", "residual"), old, new))
+        print(f"n={n} {kind}: {'; '.join(parts)}; max |old - new|: {diffs}, {rel}")
     for tree, runs in res.items():
         print(f"{tree}: numpy {runs[0]['numpy']}, OpenBLAS {runs[0]['blas']}, "
               f"{len(runs) * args.repeats} calls per kind")
