@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import islice
+from operator import index
 
 import numpy as np
 
@@ -65,7 +66,12 @@ def undirected_cycle(n: int) -> DirectedGraph:
 
 
 def directed_cycle(n: int) -> DirectedGraph:
-    """Cycle with unit one-way edges i -> i+1 (mod n)."""
+    """Cycle with unit one-way edges i -> i+1 (mod n).  n is an integer of
+    any type, numpy's too; InvalidSizeError for any other n."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvalidSizeError(f"cycle needs an integer n, got {n!r}")
     if not 3 <= n <= MAX_NODES:
         raise InvalidSizeError(f"cycle needs 3 <= n <= MAX_NODES={MAX_NODES}, got {n}")
     a = np.zeros((n, n))
@@ -75,7 +81,12 @@ def directed_cycle(n: int) -> DirectedGraph:
 
 
 def add_directed_chord(g: DirectedGraph, eps: float, i: int, j: int) -> DirectedGraph:
-    """Return a copy of g with weight eps added onto edge i -> j."""
+    """Return a copy of g with weight eps added onto edge i -> j.  i and j
+    are integers of any type, numpy's too; InvalidNodeError for any other."""
+    try:
+        i, j = index(i), index(j)
+    except TypeError:
+        raise InvalidNodeError(f"chord endpoints must be integers, got ({i!r}, {j!r})")
     n = g.n
     if not (0 <= i < n) or not (0 <= j < n):
         raise InvalidNodeError(f"chord endpoints ({i}, {j}) out of range for n={n}")

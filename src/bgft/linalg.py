@@ -18,10 +18,15 @@ detection of numerically defective input.
 
 eig_general is the one eigensolver and makes the one choice of solver: eigh
 for an m = D^{-1} S D with S normal (a reversible chain, or a normal m with
-D = I), LAPACK's general eig (dgeev) for the rest.  The basis of a
+D = I), LAPACK's general eig (dgeev) for the rest.  Each route builds its
+own result and shares only the sort (_sorted) and the conventions
+(_conventions): _eigh_route's U* is V's adjoint in D^2, and only _dgeev
+repairs clusters, takes an inverse and checks it.  The basis of a
 degenerate cluster is arbitrary (only its span is determined): eigh's is
 orthonormal in the inner product of D^2 (pi up to scale), dgeev's after a
 Euclidean QR, so the routes may return different V and cond_v for one.
+asymmetry is the one ||M - M^T||_F / ||M||_F of the toolkit: eigh's
+admission and markov's index and reversibility test all read it.
 
 Sizes up to n = 512 are supported and tested; larger inputs work but are
 limited only by memory and O(n^3) runtime.
@@ -54,10 +59,9 @@ PHASE_TOL = 1e-8
 # are off by 1e-11 passes the symmetry test but measures 1023: dgeev runs.
 EIGH_RESIDUAL_FACTOR = 16
 # The one tolerance of detailed balance and normality.  _eigh_route admits a
-# symmetrizing D when ||S - S^T||_F <= NORMAL_TOL * ||S||_F (the test that
-# markov.is_reversible also makes), else D = I when ||m m^T - m^T m||_F <=
-# NORMAL_TOL * ||m||_F^2.  It only admits the attempt: the residual bound
-# decides.
+# symmetrizing D when asymmetry(S) <= NORMAL_TOL (markov.is_reversible's
+# default test), else D = I when ||m m^T - m^T m||_F <= NORMAL_TOL *
+# ||m||_F^2.  It only admits the attempt: the residual bound decides.
 NORMAL_TOL = 1e-10
 
 
@@ -113,16 +117,17 @@ class EigenDecomposition:
     conj(lambda_a) and Im lambda_a > 0, holds sqrt(2) Re v_a at a and
     sqrt(2) Im v_a at b; v_b = conj(v_a).  So dual_frame is the inverse of
     right_frame, they have V's and U*'s singular values, and each takes
-    half a complex array's memory.  The sort, unit norms and phases are
-    V's.
+    half a complex array's memory.  The sort (_sorted) and the unit norms
+    and phases (_conventions) are V's, the same on both routes.
 
     right_vectors and left_dual assemble complex128 V and U* on every
     access, and are not kept; library code reads the frames through
     left_apply (U* x), right_apply (V c) and right_columns (V[:, idx]).
 
-    V has unit-norm columns; U* is the inverse of V on dgeev's result, and
-    V's adjoint in D^2 (the pi inner product on a reversible chain), equal
-    to the inverse up to roundoff, on _eigh_route's.  cond_v is the 2-norm
+    Each route builds its own result.  V has unit-norm columns; U* is the
+    inverse of V on _dgeev's result, and V's adjoint in D^2 (the pi inner
+    product on a reversible chain), equal to the inverse up to roundoff, on
+    _eigh_route's.  cond_v is the 2-norm
     condition number of V; residual is the one that kept the result:
     dgeev's Euclidean ||M V - V Lambda||_F, or _eigh_route's S-frame
     ||S V_S - V_S Lambda||_F (on the normal split, that of the frame before
@@ -257,8 +262,9 @@ class LeastSquaresSolution:
 
 
 def eig_general(m) -> EigenDecomposition:
-    """Eigendecomposition of a real square matrix with deterministic output;
-    the conventions are _conventional_basis's.  m gets two tries:
+    """Eigendecomposition of a real square matrix with deterministic output:
+    both routes sort it (_sorted) and apply the same conventions
+    (_conventions).  m gets two tries:
 
     1. _eigh_route, for an m = D^{-1} S D with S normal to roundoff: "eigh"
        when a positive diagonal D makes S symmetric (a reversible chain),
@@ -266,11 +272,9 @@ def eig_general(m) -> EigenDecomposition:
        converges slowly on a unitary Hessenberg matrix, so this matters for
        the directed cycle: 139 -> 33 ms at n = 256 and 642 -> 143 ms at
        n = 512 (min of 5, 2-core Xeon, OpenBLAS 0.3.31).
-    2. LAPACK's dgeev gives the eigenpairs, and U* = V^{-1} is an explicit
-       inverse ("geev").  A cluster whose QR block is not invariant (LAPACK
-       may return parallel vectors for a repeated eigenvalue: the weighted
-       4-cycle's double 0) takes its basis from the null space of M -
-       mean(lambda) I instead, under the same check.
+    2. _dgeev: LAPACK's dgeev gives the eigenpairs, _repair_clusters
+       re-orthonormalizes its degenerate clusters, and U* = V^{-1} is an
+       explicit inverse ("geev").
 
     Any m that _eigh_route refuses gives dgeev's result bit for bit; most
     non-normal, non-reversible m pay only O(n^2) screens.  Raises
@@ -287,14 +291,35 @@ def eig_general(m) -> EigenDecomposition:
 
 
 def _dgeev(m) -> EigenDecomposition:
-    """LAPACK's eig of a real m under _conventional_basis's conventions:
-    eig_general's result for any m that _eigh_route refuses.  The complex
-    eigenvectors are dropped as soon as their real frame is built."""
+    """LAPACK's eig of a real m: eig_general's result for any m that
+    _eigh_route refuses.  The complex eigenvectors are dropped as soon as
+    their real frame is built; the frame is sorted, its degenerate clusters
+    repaired (_repair_clusters) and the conventions applied, each in place,
+    so that no second n x n copy of it is alive during the checks.  U* =
+    V^{-1} is an explicit inverse, and DefectiveMatrixError is raised when
+    the residual ||M V - V Lambda||_F exceeds DEFECTIVE_TOL * max(1,
+    ||M||_F) or the dual residual ||U* V - I||_F exceeds DEFECTIVE_TOL.  T
+    is unitary, so both are taken on the frames, in real arithmetic: ||M V
+    - V Lambda||_F = ||_residual(M f, f, ...)||_F and ||U* V - I||_F = ||U_f
+    f - I||_F."""
     lam, v = np.linalg.eig(m)
     upper = np.flatnonzero(lam.imag > 0)
     f, pairs = _real_frame(lam, v), np.stack([upper, upper + 1])
     del v
-    return _conventional_basis(m, lam.astype(complex), f, pairs, None, None, "geev")
+    lam, pairs = _sorted(lam.astype(complex), f, pairs)
+    _repair_clusters(m, lam, f, pairs)
+    cond_v = _conventions(f, pairs)
+    residual = np.linalg.norm(_residual(m @ f, f, lam, pairs))
+    u = np.linalg.inv(f)
+    e = u @ f
+    e[np.diag_indices(m.shape[0])] -= 1.0
+    dual_residual = np.linalg.norm(e)
+    del e
+    if residual > DEFECTIVE_TOL * max(1.0, np.linalg.norm(m)) or dual_residual > DEFECTIVE_TOL:
+        raise DefectiveMatrixError(
+            f"matrix is numerically non-diagonalizable (residual={residual:.3e}, "
+            f"dual residual={dual_residual:.3e})")
+    return EigenDecomposition(lam, f, u, pairs, cond_v, float(residual), "geev")
 
 
 def _residual(mf, f, lam, pairs) -> np.ndarray:
@@ -322,21 +347,22 @@ def _eigh_route(m) -> EigenDecomposition | None:
     roundoff; None for any other m, or when ||S V_S - V_S Lambda||_F >
     residual_bound(S), the one check that refuses an admitted m.
 
-    D = diag(d) from _balancing_diagonal if S is finite and ||S - S^T||_F <=
-    NORMAL_TOL ||S||_F (a reversible chain; "eigh"), else D = I if
-    _is_normal(m) ("geev").  A symmetric S takes V_S = Q from eigh's Q
-    diag(w) Q^T of (S + S^T) / 2; a normal one, _split's frame.  The
-    residual is taken in the S frame, where eigh is accurate, before V =
-    D^{-1} V_S is built, and is the one reported; U* is V's adjoint in D^2.
-    A singular V then raises: on a simple spectrum unit columns fix V up to
-    phases, so dgeev's V is no better.
+    D = diag(d) from _balancing_diagonal if asymmetry(S) <= NORMAL_TOL (a
+    reversible chain; "eigh"), else D = I if _is_normal(m) ("geev").  A
+    symmetric S takes V_S = Q from eigh's Q diag(w) Q^T of (S + S^T) / 2; a
+    normal one, _split's frame.  The residual is taken in the S frame, where
+    eigh is accurate, before V = D^{-1} V_S is built, and is the one
+    reported.  V is orthonormal in the weights d^2 (1 on the normal split),
+    so after the sort and the conventions U* is V's adjoint in them: no
+    inverse is taken, and no cluster is repaired, which would break that
+    orthogonality.  A singular V then raises: on a simple spectrum unit
+    columns fix V up to phases, so dgeev's V is no better.
     """
     d = _balancing_diagonal(m)
     if d is not None:
         with np.errstate(all="ignore"):
             s = d[:, None] * m / d
-            s_norm = np.linalg.norm(s)
-            if not (np.isfinite(s_norm) and np.linalg.norm(s - s.T) <= NORMAL_TOL * s_norm):
+            if not asymmetry(s) <= NORMAL_TOL:
                 d = None
     if d is not None:
         w, q = np.linalg.eigh((s + s.T) / 2)
@@ -352,7 +378,11 @@ def _eigh_route(m) -> EigenDecomposition | None:
         return None
     if residual > residual_bound(s):
         return None
-    return _conventional_basis(m, lam, f, pairs, weights, residual, solver)
+    lam, pairs = _sorted(lam, f, pairs)
+    cond_v = _conventions(f, pairs)
+    u = f.T * weights
+    u /= np.einsum("ki,ik->k", u, f)[:, None]
+    return EigenDecomposition(lam, f, u, pairs, cond_v, float(residual), solver)
 
 
 def _split(s) -> tuple:
@@ -499,92 +529,107 @@ def _is_normal(m) -> bool:
     return commutator_norm(m) <= tol
 
 
+def asymmetry(m) -> float:
+    """||M - M^T||_F / ||M||_F of a square array M: 0 for M = 0, and nan
+    when ||M||_F is not finite."""
+    norm = np.linalg.norm(m)
+    if not np.isfinite(norm):
+        return float("nan")
+    if norm == 0:
+        return 0.0
+    return float(np.linalg.norm(m - m.T) / norm)
+
+
 def commutator_norm(m) -> float:
     """||M M* - M* M||_F of a square array M."""
     mh = m.conj().T
     return float(np.linalg.norm(m @ mh - mh @ m))
 
 
-def _conventional_basis(m, lam, f, pairs, w, residual, solver: str) -> EigenDecomposition:
-    """The conventions every route of eig_general shares, applied to M's
-    eigenvalues lam and the frame f of their eigenvectors, whose conjugate
-    pairs (EigenDecomposition's pairs) index lam and f.  _eigh_route passes
-    the weights w (d^2, or 1 on the normal split) in whose inner product its
-    V is orthonormal, U* is V's adjoint in w, and residual is the one that
-    kept it.  dgeev passes None for both: U* = V^{-1}, and its residual and
-    dual residual are checked here.  f is changed in place, so that no
-    second n x n copy of it is alive during the checks.  T is unitary, so
-    every check is made on the frames, in real arithmetic: sigma(V) =
-    sigma(f), ||M V - V Lambda||_F = ||_residual(M f, f, ...)||_F, and ||U*
-    V - I||_F = ||U_f f - I||_F.
+def _sorted(lam, f, pairs) -> tuple:
+    """(lam, pairs) sorted by descending real part, ties broken by ascending
+    imaginary part, with f's columns permuted to match in place; pairs
+    (EigenDecomposition's) index the sorted lam and f."""
+    order = np.lexsort((lam.imag, -lam.real))
+    f[:] = f[:, order]
+    rank = np.empty(lam.size, int)
+    rank[order] = np.arange(lam.size)
+    return lam[order], rank[pairs]
 
-    Eigenvalues are sorted by descending real part, ties broken by ascending
-    imaginary part.  On dgeev's result only, each eigenvalue joins the
-    degenerate cluster of the first eigenvalue within CLUSTER_TOL of it (by
-    distance, not by sort position), and each cluster's eigenvector block is
-    re-orthonormalized by a Euclidean QR, so that normal matrices get cond_v
-    ~= 1 whatever basis LAPACK chose for the cluster (on _eigh_route's, it
-    would break orthogonality in W).  A cluster closed under conjugation
-    takes the QR of its frame columns, in real arithmetic; one of Im > 0
-    members (pairs[0]) takes the QR of their complex vectors, and
+
+def _repair_clusters(m, lam, f, pairs) -> None:
+    """Re-orthonormalize, in place, the frame f of dgeev's eigenvectors of m
+    on each degenerate cluster of the sorted lam, so that normal matrices get
+    cond_v ~= 1 whatever basis LAPACK chose for the cluster.
+
+    Each eigenvalue joins the cluster of the first eigenvalue within
+    CLUSTER_TOL of it (by distance, not by sort position), and each
+    cluster's block is replaced by a Euclidean QR.  A cluster closed under
+    conjugation takes the QR of its frame columns, in real arithmetic; one
+    of Im > 0 members (pairs[0]) takes the QR of their complex vectors, and
     its conjugate cluster follows; any other cluster is left as LAPACK gave
-    it.  Columns of V have unit norm, which fixes cond(V); the phase is
-    fixed so that the pivot, the first entry of modulus within PHASE_TOL of
-    the column's largest, is positive real (on the cycles every entry has
+    it.  A QR block that is not invariant (LAPACK may return parallel
+    vectors for a repeated eigenvalue: the weighted 4-cycle's double 0) is
+    replaced by the null space of m - mean(lambda) I instead, under the same
+    check, and the cluster is left as it was if that fails too.
+    """
+    n = m.shape[0]
+    m_norm = np.linalg.norm(m)
+    partner, role = _pair_roles(n, pairs)
+
+    # Roundoff in Re(lambda) can sort a conjugate between two copies of
+    # one eigenvalue, so sort neighbours are not enough to find a
+    # cluster; the label is the first eigenvalue within CLUSTER_TOL.  A
+    # cluster of merely close (not equal) eigenvalues has distinct
+    # eigendirections that QR would destroy, so the swap is kept only
+    # when the block residual stays at roundoff level.
+    def invariant(q, mu):
+        return np.linalg.norm(_product(m, q) - q * mu) <= 1e-10 * max(1.0, m_norm)
+
+    # |lambda_i - lambda_j|^2 from real parts, in place: no complex n x n.
+    gap, im = np.subtract.outer(lam.real, lam.real), np.subtract.outer(lam.imag, lam.imag)
+    gap *= gap
+    im *= im
+    gap += im
+    del im
+    labels = (gap <= CLUSTER_TOL**2).argmax(axis=1)
+    del gap
+    for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
+        idx = np.flatnonzero(labels == label)
+        closed = np.array_equal(np.sort(partner[idx]), idx)
+        if closed:
+            mu, block = lam.real[idx], f[:, idx]
+        elif np.all(role[idx] == 1):
+            mu, block = lam[idx], f[:, idx] + 1j * f[:, partner[idx]]
+        else:
+            continue
+        q = np.linalg.qr(block)[0]
+        if not invariant(q, mu):
+            shifted = m - np.mean(mu) * np.eye(n)
+            q = np.linalg.svd(shifted)[2][-idx.size:].conj().T
+            if not invariant(q, mu):
+                continue
+        if closed:
+            f[:, idx] = q
+        else:
+            f[:, idx], f[:, partner[idx]] = q.real, q.imag
+
+
+def _conventions(f, pairs) -> float:
+    """Apply to the frame f, in place, the conventions every route of
+    eig_general shares, and return cond_v, V's 2-norm condition number.
+
+    Columns of V have unit norm, which fixes cond(V); the phase is fixed so
+    that the pivot, the first entry of modulus within PHASE_TOL of the
+    column's largest, is positive real (on the cycles every entry has
     modulus 1/sqrt(n), and the largest one would be roundoff's pick).  The
     phase rule leaves cond(V) unchanged (a unit-modulus column scaling is
     unitary), but it fixes V itself, U*, and the seeded signals built from
     V.  Inside a degenerate cluster the basis itself is still arbitrary.
-    The sort, the norms and the phases cost O(n^2) on the frame.
+    The norms and the phases cost O(n^2) on the frame.  T is unitary, so
+    sigma(V) = sigma(f); DefectiveMatrixError if V is numerically singular.
     """
-    n = m.shape[0]
-    order = np.lexsort((lam.imag, -lam.real))
-    lam = lam[order]
-    f[:] = f[:, order]
-    rank = np.empty(n, int)
-    rank[order] = np.arange(n)
-    pairs = rank[pairs]
-    partner, role = _pair_roles(n, pairs)
-
-    if w is None:
-        m_norm = np.linalg.norm(m)
-        # Roundoff in Re(lambda) can sort a conjugate between two copies of
-        # one eigenvalue, so sort neighbours are not enough to find a
-        # cluster; the label is the first eigenvalue within CLUSTER_TOL.  A
-        # cluster of merely close (not equal) eigenvalues has distinct
-        # eigendirections that QR would destroy, so the swap is kept only
-        # when the block residual stays at roundoff level.
-        def invariant(q, mu):
-            return np.linalg.norm(_product(m, q) - q * mu) <= 1e-10 * max(1.0, m_norm)
-
-        # |lambda_i - lambda_j|^2 from real parts, in place: no complex n x n.
-        gap, im = np.subtract.outer(lam.real, lam.real), np.subtract.outer(lam.imag, lam.imag)
-        gap *= gap
-        im *= im
-        gap += im
-        del im
-        labels = (gap <= CLUSTER_TOL**2).argmax(axis=1)
-        del gap
-        for label in np.flatnonzero(np.bincount(labels, minlength=n) > 1):
-            idx = np.flatnonzero(labels == label)
-            closed = np.array_equal(np.sort(partner[idx]), idx)
-            if closed:
-                mu, block = lam.real[idx], f[:, idx]
-            elif np.all(role[idx] == 1):
-                mu, block = lam[idx], f[:, idx] + 1j * f[:, partner[idx]]
-            else:
-                continue
-            q = np.linalg.qr(block)[0]
-            if not invariant(q, mu):
-                shifted = m - np.mean(mu) * np.eye(n)
-                q = np.linalg.svd(shifted)[2][-idx.size:].conj().T
-                if not invariant(q, mu):
-                    continue
-            if closed:
-                f[:, idx] = q
-            else:
-                f[:, idx], f[:, partner[idx]] = q.real, q.imag
-
+    n = f.shape[1]
     f /= frame_norms(f, pairs)
     a, b = pairs
     modulus = np.abs(f)  # of V's entries: a pair's is hypot(f_a, f_b) / sqrt(2)
@@ -608,29 +653,7 @@ def _conventional_basis(m, lam, f, pairs, w, residual, solver: str) -> EigenDeco
             f"eigenvector matrix is numerically singular: sigma_min/sigma_max = "
             f"{sigma[-1] / sigma[0]:.1e} <= RANK_RCOND = {RANK_RCOND:g}"
         )
-    if w is None:
-        residual = np.linalg.norm(_residual(m @ f, f, lam, pairs))
-        u = np.linalg.inv(f)
-        e = u @ f
-        e[np.diag_indices(n)] -= 1.0
-        dual_residual = np.linalg.norm(e)
-        del e
-        if residual > DEFECTIVE_TOL * max(1.0, m_norm) or dual_residual > DEFECTIVE_TOL:
-            raise DefectiveMatrixError(
-                f"matrix is numerically non-diagonalizable (residual={residual:.3e}, "
-                f"dual residual={dual_residual:.3e})")
-    else:
-        u = f.T * w
-        u /= np.einsum("ki,ik->k", u, f)[:, None]
-    return EigenDecomposition(
-        eigenvalues=lam,
-        right_frame=f,
-        dual_frame=u,
-        pairs=pairs,
-        cond_v=float(sigma[0] / sigma[-1]),
-        residual=float(residual),
-        solver=solver,
-    )
+    return float(sigma[0] / sigma[-1])
 
 
 def spectral_norm2(m) -> float:

@@ -36,7 +36,8 @@ class TransitionOperator:
     of its nonzeros, built with numpy on first use and cached, so iterated
     diffusion costs O(t nnz); a denser P takes the dense matvec and never
     builds the view, and never casts P to complex: a complex x is applied
-    as P Re(x) + i P Im(x).  The paths agree up to summation order.
+    as P Re(x) + i P Im(x) (linalg._product).  The paths agree up to
+    summation order.
 
     eig is the one eigendecomposition of P, linalg.eig_general's, computed
     on first use and read by the biorthogonal basis (transform.decompose);
@@ -73,9 +74,7 @@ class TransitionOperator:
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
         view = self._row_view
         if view is None:
-            if np.iscomplexobj(x):  # p @ x would cast all of P to complex
-                return self.p @ x.real + 1j * (self.p @ x.imag)
-            return self.p @ x
+            return linalg._product(self.p, x)
         starts, cols, values = view
         return np.add.reduceat(values * x[cols], starts)
 
@@ -112,14 +111,12 @@ def transition(g: DirectedGraph) -> TransitionOperator:
 
 
 def asymmetry_index(m) -> float:
-    """||M - M^T||_F / ||M||_F, with 0 for the zero matrix."""
+    """linalg.asymmetry: ||M - M^T||_F / ||M||_F, with 0 for the zero
+    matrix and nan when ||M||_F overflows."""
     m = linalg.as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("asymmetry_index requires a square matrix")
-    den = np.linalg.norm(m)
-    if den == 0:
-        return 0.0
-    return float(np.linalg.norm(m - m.T) / den)
+    return linalg.asymmetry(m)
 
 
 def departure_from_normality(m) -> float:
@@ -175,7 +172,7 @@ def is_reversible(
     tol: float = linalg.NORMAL_TOL,
 ) -> bool:
     """Detailed-balance test: S = symmetrize(op, dist) is symmetric,
-    ||S - S^T||_F <= tol ||S||_F for a finite tol >= 0, by default
+    linalg.asymmetry(S) <= tol for a finite tol >= 0, by default
     linalg.NORMAL_TOL, the one eig_general admits eigh by.  S - S^T is Pi P
     - P^T Pi scaled by Pi^{-1/2} on each side, so, unlike a tolerance
     relative to ||Pi P||, this sees pi entries at roundoff level.
@@ -184,7 +181,7 @@ def is_reversible(
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"reversibility test needs a finite tol >= 0, got {tol}")
     s = symmetrize(op, dist)
-    return bool(np.linalg.norm(s - s.T) <= tol * np.linalg.norm(s))
+    return linalg.asymmetry(s) <= tol
 
 
 def symmetrize(op: TransitionOperator, dist: StationaryDistribution) -> np.ndarray:

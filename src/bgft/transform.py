@@ -111,7 +111,10 @@ class FilterSpec:
             # Re(1 - lambda) >= 0 as |lambda| <= 1: roundoff may not grow a mode.
             rate = 1.0 - basis.eigenvalues
             rate.real = np.maximum(rate.real, 0.0)
-            return np.exp(-tau * rate)
+            # tau * rate may overflow to inf for a huge tau; e^{-inf} = 0 is
+            # then the exact limit.
+            with np.errstate(over="ignore"):
+                return np.exp(-tau * rate)
 
         return FilterSpec(response)
 

@@ -163,6 +163,17 @@ class TestFilter:
         # norms print as plain floats (not numpy scalar reprs)
         assert capsys.readouterr().err.startswith("||x||2 = 8.0 ||Hx||2 = ")
 
+    def test_huge_tau_warns_nothing(self, tmp_path, capsys):
+        # tau (1 - lambda) overflows, and the heat response takes its exact
+        # limit 0 quietly: stderr holds the norms line alone.
+        _, path = self._signal(tmp_path, n=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["filter", str(path), "--graph", "perturbed-cycle", "--n", "8",
+                        "--tau", "1e308"], tmp_path / "y.sig") == 0
+        err = capsys.readouterr().err
+        assert err.startswith("||x||2 = ") and err.count("\n") == 1
+
     def test_length_mismatch_exit_code(self, tmp_path):
         path = tmp_path / "short.sig"
         path.write_text("1.0 0.0\n")

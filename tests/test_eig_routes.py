@@ -103,17 +103,20 @@ class TestSolverChoice:
     def test_eigh_route_needs_no_lapack_eig_or_inverse(self, monkeypatch):
         # The second chain joins two copies of a 6-node chain, one with its
         # weights x4, by an edge of weight 1e-6: near-degenerate pairs with
-        # non-uniform pi, whose eigenvectors eigh keeps pi-orthonormal.
+        # non-uniform pi, whose eigenvectors eigh keeps pi-orthonormal.  The
+        # undirected cycle's eigenvalues come in degenerate pairs, which
+        # dgeev's cluster repair (its QR) would re-orthonormalize.
         a = np.zeros((12, 12))
         a[:6, :6] = random_reversible_graph(6, 2).adjacency
         a[6:, 6:] = 4 * a[:6, :6]
         a[0, 6] = a[6, 0] = 1e-6
-        for g, n in [(random_reversible_graph(16, 4), 16), (bgft.DirectedGraph(a), 12)]:
+        for g, n in [(random_reversible_graph(16, 4), 16), (bgft.DirectedGraph(a), 12),
+                     (bgft.undirected_cycle(16), 16)]:
             op = bgft.transition(g)
             ref = dgeev_decomposition(op.p)
             with monkeypatch.context() as patch:
-                counted(patch, np.linalg, "eig", refuse=lambda *args: True)
-                counted(patch, np.linalg, "inv", refuse=lambda *args: True)
+                for name in ("eig", "inv", "qr"):
+                    counted(patch, np.linalg, name, refuse=lambda *args: True)
                 dec = op.eig
             assert dec.solver == "eigh"
             assert dec.eigenvalues.dtype == dec.right_vectors.dtype == np.complex128

@@ -51,6 +51,16 @@ class TestGenerators:
         with pytest.raises(InvalidSizeError, match="MAX_NODES"):
             gen(bgft.graphs.MAX_NODES + 1)
 
+    @pytest.mark.parametrize("gen", [bgft.directed_cycle, bgft.undirected_cycle])
+    @pytest.mark.parametrize("n", [5.0, "5", None])
+    def test_non_integer_size_refused(self, gen, n):
+        with pytest.raises(InvalidSizeError, match="cycle needs an integer n"):
+            gen(n)
+
+    def test_numpy_integer_size(self):
+        assert np.array_equal(bgft.directed_cycle(np.int64(5)).adjacency,
+                              bgft.directed_cycle(5).adjacency)
+
     def test_deterministic(self):
         assert np.array_equal(
             bgft.directed_cycle(9).adjacency, bgft.directed_cycle(9).adjacency
@@ -85,6 +95,15 @@ class TestChord:
             bgft.add_directed_chord(g, 1.0, 0, 7)
         with pytest.raises(InvalidNodeError):
             bgft.add_directed_chord(g, 1.0, 2, 2)
+
+    @pytest.mark.parametrize("i,j", [(0.0, 2), (0, 2.0), (None, 2)])
+    def test_non_integer_nodes_refused(self, i, j):
+        with pytest.raises(InvalidNodeError, match="chord endpoints must be integers"):
+            bgft.add_directed_chord(bgft.directed_cycle(4), 1.0, i, j)
+
+    def test_numpy_integer_nodes(self):
+        g = bgft.add_directed_chord(bgft.directed_cycle(4), 1.0, np.int64(0), np.uint8(2))
+        assert g.adjacency[0, 2] == 1.0
 
 
 class TestOutDegrees:

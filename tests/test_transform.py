@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,23 @@ class TestFilters:
         for name, (_, basis) in canonical_bases.items():
             out = bgft.apply_filter(basis, FilterSpec.heat(tau), x)
             assert np.max(np.abs(out)) <= np.max(np.abs(x)) * (1 + 1e-9), name
+
+    def test_heat_huge_tau_is_the_exact_limit(self, canonical_bases):
+        # tau * (1 - lambda) overflows to inf, and e^{-inf} = 0 exactly: the
+        # response keeps the mode at lambda = 1 and no other, with no numpy
+        # warning.  (On these two bases dgeev and the split put that
+        # eigenvalue at or above 1; its rate is then clamped to 0.)
+        for name in ("directed", "perturbed"):
+            _, basis = canonical_bases[name]
+            spec = FilterSpec.heat(1e308)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h = spec.response(basis)
+                bound = bgft.filter_bound(basis, spec)
+            expected = np.zeros(64)
+            expected[basis.order[0]] = 1.0
+            assert np.array_equal(h, expected), name
+            assert bound == basis.cond_v, name
 
     def test_diagonal_action(self, property_suite):
         for _, basis in property_suite[:6]:

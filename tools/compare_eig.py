@@ -20,8 +20,10 @@ vectors V and left duals U* (each tree's V and U* as its public
 right_vectors and left_dual give them, from its first run), and the
 relative differences of cond_v and of the residual.  The basis of a
 degenerate cluster is arbitrary, so V and U* may differ by O(1) where the
-trees split one differently; the eigenvalues may not.  It ends with the numpy and OpenBLAS
-versions, and exits 1 if any solver label differs.
+trees split one differently; the eigenvalues may not.  It prints the numpy and OpenBLAS
+versions, and ends with one line: how many (n, kind) rows have eigenvalues,
+V, U*, cond_v and residual identical bit for bit, and the names of the other
+rows.  It exits 1 if any solver label differs.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def main(argv) -> int:
         # Runs 0 and 1 are each tree's first.
         arrays = {tree: dict(np.load(Path(tmp) / f"{i}.npz"))
                   for i, tree in enumerate(("old", "new"))}
-    labels_differ = False
+    labels_differ, differing = False, []
     for j, (n, kind, *_) in enumerate(res["old"][0]["rows"]):
         parts = []
         for tree, runs in res.items():
@@ -129,12 +131,19 @@ def main(argv) -> int:
             f"{label} {np.max(np.abs(arrays['old'][key + field] - arrays['new'][key + field])):.1e}"
             for label, field in FIELDS.items())
         old, new = (res[tree][0]["rows"][j][3:5] for tree in ("old", "new"))
+        if old != new or not all(np.array_equal(arrays["old"][key + field],
+                                                arrays["new"][key + field])
+                                 for field in FIELDS.values()):
+            differing.append(f"n={n} {kind}")
         rel = ", ".join(f"{label} {abs(b - a) / a:.1e} relative"
                         for label, a, b in zip(("cond_v", "residual"), old, new))
         print(f"n={n} {kind}: {'; '.join(parts)}; max |old - new|: {diffs}, {rel}")
     for tree, runs in res.items():
         print(f"{tree}: numpy {runs[0]['numpy']}, OpenBLAS {runs[0]['blas']}, "
               f"{len(runs) * args.repeats} calls per kind")
+    rows = len(res["old"][0]["rows"])
+    print(f"bit-identical lambda, V, U*, cond_v and residual: {rows - len(differing)} of "
+          f"{rows} rows; differing: {', '.join(differing) or 'none'}")
     return 1 if labels_differ else 0
 
 
