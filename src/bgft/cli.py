@@ -53,7 +53,7 @@ def read_signal(path) -> np.ndarray:
         raise BgftError(f"cannot read signal file {path}: {exc.strerror or exc}")
     values = []
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in graphs.numbered_lines(fh, lambda msg: BgftError(f"{path}: {msg}")):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -167,9 +167,7 @@ def analysis_fields(basis: transform.BgftBasis) -> dict:
         cond_v=basis.cond_v,
         spectral_radius=float(np.max(np.abs(lam))),
         reversible=reversible,
-        top_eigenvalues=[
-            [float(lam[i].real), float(lam[i].imag)] for i in basis.order[:4]
-        ],
+        top_eigenvalues=[[float(z.real), float(z.imag)] for z in lam[:4]],
     )
 
 

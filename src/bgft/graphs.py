@@ -231,7 +231,7 @@ def _load_edge_list_strict(path) -> DirectedGraph:
     nodes = None  # from the `# nodes N` header
     top = 0  # 1 + largest node index seen
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in numbered_lines(fh, lambda msg: EdgeListParseError(path, 0, msg)):
             line = raw.strip()
             if line.startswith("#"):
                 try:
@@ -282,6 +282,16 @@ def _load_edge_list_strict(path) -> DirectedGraph:
     for (i, j), w in weights.items():
         a[i, j] = w
     return DirectedGraph(a)
+
+
+def numbered_lines(fh, refuse):
+    """enumerate(fh, start=1) over a text file, but a byte that fh's
+    encoding cannot decode raises refuse(message), which names the file;
+    a UnicodeDecodeError would not."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise refuse(f"not {exc.encoding} text ({exc.reason})") from None
 
 
 def load_matrix_market(path) -> DirectedGraph:

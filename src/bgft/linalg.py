@@ -263,8 +263,8 @@ class LeastSquaresSolution:
 
 def eig_general(m) -> EigenDecomposition:
     """Eigendecomposition of a real square matrix with deterministic output:
-    both routes sort it (_sorted) and apply the same conventions
-    (_conventions).  m gets two tries:
+    both routes sort it into the mode order (_sorted) and apply the same
+    conventions (_conventions).  m gets two tries:
 
     1. _eigh_route, for an m = D^{-1} S D with S normal to roundoff: "eigh"
        when a positive diagonal D makes S symmetric (a reversible chain),
@@ -547,10 +547,13 @@ def commutator_norm(m) -> float:
 
 
 def _sorted(lam, f, pairs) -> tuple:
-    """(lam, pairs) sorted by descending real part, ties broken by ascending
-    imaginary part, with f's columns permuted to match in place; pairs
-    (EigenDecomposition's) index the sorted lam and f."""
-    order = np.lexsort((lam.imag, -lam.real))
+    """(lam, pairs) in the one mode order of the toolkit, with f's columns
+    permuted to match in place; pairs (EigenDecomposition's) index the
+    sorted lam and f.  Modes ascend in decay rate Re(1 - lambda), keyed as
+    -Re lambda (1 - Re lambda would round distinct real parts into ties),
+    then in |Im lambda|, then in Im lambda: a real eigenvalue precedes the
+    pairs of its real part, and each pair comes negative-imaginary first."""
+    order = np.lexsort((lam.imag, np.abs(lam.imag), -lam.real))
     f[:] = f[:, order]
     rank = np.empty(lam.size, int)
     rank[order] = np.arange(lam.size)
@@ -559,8 +562,13 @@ def _sorted(lam, f, pairs) -> tuple:
 
 def _repair_clusters(m, lam, f, pairs) -> None:
     """Re-orthonormalize, in place, the frame f of dgeev's eigenvectors of m
-    on each degenerate cluster of the sorted lam, so that normal matrices get
-    cond_v ~= 1 whatever basis LAPACK chose for the cluster.
+    on each degenerate cluster of the sorted lam, so that cond_v does not
+    depend on the oblique basis LAPACK may choose for a cluster.  A normal
+    m takes _eigh_route's split, so the clusters seen here are those of
+    what _eigh_route refuses: a near-reversible or near-normal m (the
+    4-cycle with weights (1, 2, 2, 1) and edge 0 -> 1 scaled by 1 + 1e-11:
+    cond_v 1.39, 213 unrepaired) and a non-normal m with a repeated
+    eigenvalue.
 
     Each eigenvalue joins the cluster of the first eigenvalue within
     CLUSTER_TOL of it (by distance, not by sort position), and each

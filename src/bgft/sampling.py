@@ -82,9 +82,10 @@ class ReconstructionReport:
 
 
 def select_band(basis: BgftBasis, k: int) -> BandSupport:
-    """The k slowest modes (smallest decay rate, i.e. largest Re lambda)."""
+    """The k slowest modes (smallest decay rate, i.e. largest Re lambda):
+    the first k, as the basis stores its modes in the mode order."""
     k = linalg.as_count(k, "band size", 1, basis.n, InvalidSizeError)
-    return BandSupport(omega=tuple(basis.order[:k]))
+    return BandSupport(omega=tuple(range(k)))
 
 
 def band_vectors(basis: BgftBasis, omega: BandSupport) -> np.ndarray:

@@ -3,7 +3,8 @@
 decompose() builds a biorthogonal basis of P: right eigenvectors V, and left
 dual U* = V^{-1} (dgeev) or V's pi-adjoint, V^{-1} to roundoff (eigh route).
 Analysis is xhat = U* x, synthesis x = V xhat; diffusion and spectral filters
-act diagonally.  Modes ascend in decay rate omega_k = Re(1 - lambda_k).
+act diagonally.  Modes ascend in decay rate omega_k = Re(1 - lambda_k),
+the one mode order, which linalg._sorted alone decides.
 
 The basis is held as linalg.EigenDecomposition's real frames, and every
 function here but filter_matrix, which materializes H, applies it through
@@ -31,11 +32,11 @@ DEFAULT_TAU = 2.0
 class BgftBasis:
     """Biorthogonal eigenbasis of a transition operator.
 
-    frequencies and order derive from eig.  order sorts modes by ascending
-    decay rate, ties broken by ascending |Im lambda| then by Im lambda (so
-    conjugate pairs order deterministically, negative-imaginary first).
-    pi_metric, the signal-independent part of energy_report, is computed on
-    first use, like order.
+    frequencies derive from eig.  Modes are stored in the mode order
+    (linalg._sorted): ascending decay rate, then |Im lambda|, then Im
+    lambda, so conjugate pairs come negative-imaginary first; order is
+    therefore arange(n).  pi_metric, the signal-independent part of
+    energy_report, is computed on first use.
     """
 
     operator: TransitionOperator
@@ -65,10 +66,10 @@ class BgftBasis:
     def frequencies(self) -> np.ndarray:
         return 1.0 - self.eigenvalues.real
 
-    @cached_property
+    @property
     def order(self) -> np.ndarray:
-        lam = self.eigenvalues
-        return np.lexsort((lam.imag, np.abs(lam.imag), self.frequencies))
+        """The mode order as indices: arange(n), as eig stores the modes in it."""
+        return np.arange(self.n)
 
     @cached_property
     def pi_metric(self) -> tuple:
@@ -92,11 +93,11 @@ class BgftBasis:
 @dataclass(frozen=True)
 class FilterSpec:
     """Scalar spectral response: response(basis) is h(lambda) at each
-    eigenvalue, in basis index order.  Constructors:
+    eigenvalue, in the basis's mode order.  Constructors:
       heat(tau):          h(lambda) = exp(-tau * (1 - lambda)), finite tau >= 0,
                           with Re(1 - lambda) clamped at 0
-      ideal_lowpass(k):   1 on the k slowest modes (basis order), else 0
-      custom(samples):    finite 1-d table h(lambda_k), one per mode, basis index order
+      ideal_lowpass(k):   1 on the k slowest modes (the first k), else 0
+      custom(samples):    finite 1-d table h(lambda_k), one per mode, in mode order
     """
 
     response: Callable[[BgftBasis], np.ndarray]
@@ -125,7 +126,7 @@ class FilterSpec:
         def response(basis: BgftBasis) -> np.ndarray:
             linalg.as_count(k, "k", 1, basis.n, InvalidSizeError)
             h = np.zeros(basis.n, dtype=complex)
-            h[basis.order[:k]] = 1.0
+            h[:k] = 1.0
             return h
 
         return FilterSpec(response)

@@ -403,6 +403,24 @@ class TestBadInput:
         assert out == ""
         assert err == "error: " + message.replace("{tmp}", str(tmp_path)) + "\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["indices", "--graph", "file", "--input", "{tmp}/latin1.edges"],
+         "{tmp}/latin1.edges:0: not utf-8 text (invalid start byte)"),
+        (["filter", "{tmp}/latin1.sig", "--graph", "directed-cycle", "--n", "3"],
+         "{tmp}/latin1.sig: not utf-8 text (invalid start byte)"),
+    ], ids=["edge-list", "signal"])
+    def test_undecodable_file_named(self, argv, message, tmp_path, capsys):
+        # A byte that is not UTF-8 ends as one error line naming the file,
+        # not as the decoder's message, which names no file.
+        (tmp_path / "latin1.edges").write_bytes(b"0 1\n1 0 \xff\n")
+        (tmp_path / "latin1.sig").write_bytes(b"1.0\n\xff\n0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: " + message.replace("{tmp}", str(tmp_path)) + "\n"
+
     @pytest.mark.parametrize("text", ["1.7e308\n" + "0\n" * 7, "5e307\n" * 8],
                              ids=["one-entry", "eight-entries"])
     def test_overflowing_coefficients_refused(self, text, tmp_path, capsys):

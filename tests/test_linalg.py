@@ -293,10 +293,19 @@ class TestEigGeneral:
             assert np.min(np.abs(dec.eigenvalues - z)) <= 1e-12
         assert dec.cond_v == pytest.approx(1.0, abs=1e-10)
 
-    def test_ordering_descending_real_then_imag(self):
-        dec = bgft.eig_general(random_digraph(16, 3).adjacency)
-        lam = dec.eigenvalues
-        key = np.lexsort((lam.imag, -lam.real))
+    def test_mode_order_ties(self):
+        # The mode order: descending Re lambda, then ascending |Im lambda|,
+        # then ascending Im lambda.  On a real part shared by a real
+        # eigenvalue and a pair, the real eigenvalue comes first; the pair
+        # comes negative-imaginary first.  This m takes the dgeev route.
+        m = np.zeros((3, 3))
+        m[0, 0] = 0.3
+        m[1:, 1:] = [[0.3, 2.0], [-0.5, 0.3]]
+        assert linalg._eigh_route(m) is None
+        dec = bgft.eig_general(m)
+        assert_allclose(dec.eigenvalues, [0.3, 0.3 - 1j, 0.3 + 1j], rtol=0, atol=1e-14)
+        lam = bgft.eig_general(random_digraph(16, 3).adjacency).eigenvalues
+        key = np.lexsort((lam.imag, np.abs(lam.imag), -lam.real))
         assert np.array_equal(key, np.arange(16))
 
     def test_unit_columns_and_phase(self):
@@ -327,7 +336,7 @@ class TestEigGeneral:
         # one at a time here as the reference.
         m = random_digraph(12, 5).adjacency
         lam, v = np.linalg.eig(m)
-        v = v[:, np.lexsort((lam.imag, -lam.real))]
+        v = v[:, np.lexsort((lam.imag, np.abs(lam.imag), -lam.real))]
         for k in range(12):
             v[:, k] /= np.linalg.norm(v[:, k])
             pivot = v[np.argmax(np.abs(v[:, k])), k]
@@ -387,6 +396,29 @@ class TestEigGeneral:
         assert dec.cond_v <= 1.5
         assert dec.residual <= 1e-14
         assert_allclose(dec.eigenvalues, [1, 0, 0, -1], atol=1e-14)
+
+    def test_near_reversible_cluster_repaired_through_eig_general(self, monkeypatch):
+        # The weighted 4-cycle above with edge 0 -> 1 scaled by 1 + 1e-11:
+        # S is symmetric within NORMAL_TOL, but eigh's residual is past
+        # residual_bound, so eig_general takes dgeev.  The double 0 splits
+        # into +-1.3e-14, one cluster closed under conjugation, which takes
+        # one real QR of its two frame columns.  Unrepaired, cond_v is 213.
+        a = np.zeros((4, 4))
+        for i, w in enumerate((1, 2, 2, 1)):
+            a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = w
+        a[0, 1] *= 1 + 1e-11
+        p = bgft.transition(bgft.DirectedGraph(a)).p
+        assert linalg._eigh_route(p) is None
+        assert np.linalg.cond(np.linalg.eig(p)[1]) > 100
+        qr_calls = counted(monkeypatch, np.linalg, "qr")
+        dec = bgft.eig_general(p)
+        assert dec.solver == "geev"
+        assert [(q.shape, q.dtype) for q, *_ in qr_calls] == [((4, 2), np.float64)]
+        assert dec.cond_v <= 1.5
+        v, u, lam = dec.right_vectors, dec.left_dual, dec.eigenvalues
+        assert_allclose(lam, [1, 0, 0, -1], atol=1e-13)
+        assert np.linalg.norm(p @ v - v * lam) <= 1e-10
+        assert np.linalg.norm(u @ v - np.eye(4)) <= 1e-14
 
     def test_cluster_of_upper_pair_members(self, monkeypatch):
         # A repeated conjugate pair 0.3 +- 0.8i of a non-normal M: dgeev's

@@ -33,15 +33,26 @@ class TestDecompose:
         assert_allclose(basis.eigenvalues, np.ones(5))
         assert_allclose(basis.frequencies, np.zeros(5))
 
-    def test_replaced_eig_rederives_order(self, canonical_bases):
-        # frequencies and order are derived from eig, so replacing eig
-        # cannot leave them stale.
+    def test_replaced_eig_rederives_frequencies(self, canonical_bases):
+        # frequencies are derived from eig, so replacing eig cannot leave
+        # them stale.
         _, basis = canonical_bases["perturbed"]
         lam = basis.eigenvalues[::-1].copy()
         new = dataclasses.replace(basis, eig=dataclasses.replace(basis.eig, eigenvalues=lam))
         assert np.array_equal(new.frequencies, 1.0 - lam.real)
-        assert np.array_equal(new.order, np.lexsort((lam.imag, np.abs(lam.imag), 1.0 - lam.real)))
-        assert not np.array_equal(new.order, basis.order)
+
+    def test_modes_stored_in_mode_order(self, canonical_bases, property_suite):
+        # eig_general stores the modes in the mode order, so order is the
+        # identity and a band of k modes is the first k.
+        bases = [b for _, b in canonical_bases.values()]
+        bases += [b for _, b in property_suite]
+        for basis in bases:
+            lam = basis.eigenvalues
+            key = np.lexsort((lam.imag, np.abs(lam.imag), -lam.real))
+            assert np.array_equal(key, np.arange(basis.n))
+            assert np.array_equal(basis.order, np.arange(basis.n))
+            for k in (1, 2, basis.n):
+                assert bgft.select_band(basis, k).omega == tuple(range(k))
 
     def test_frequencies_definition(self, property_suite):
         for _, basis in property_suite[:5]:

@@ -6,8 +6,10 @@ Each SRC is a directory holding the bgft package (a checkout's src/).  The
 script writes its inputs to a temporary directory: an edge list, three
 Matrix Market files written by scipy.io.mmwrite (real general, real
 symmetric and pattern), six birth-death edge lists (BIRTH_DEATH), the
-edge list of the star joining node 0 to node i by weight i, a real
-and a complex signal file, and the malformed files the rejections read.  It
+edge list of the star joining node 0 to node i by weight i, that of the
+8 x 8 directed torus (normal and not symmetric, with repeated eigenvalues
+of multiplicity up to 4), a real and a complex signal file, and the
+malformed files the rejections read.  It
 runs a fixed list of argvs as `python -m bgft.cli` under each tree, with
 BGFT_SEED unset, and compares exit status, stdout, stderr and any --out
 file.  The list covers the five subcommands, all three formats, the three
@@ -73,6 +75,9 @@ BAD_FILES = {
                "1 2 1.0\n2 3 -1.0\n3 1 1.0\n",
     "complex.mtx": "%%MatrixMarket matrix coordinate complex general\n3 3 3\n"
                    "1 2 1.0 0.5\n2 3 1.0 0.0\n3 1 1.0 0.0\n",
+    # A byte that is not UTF-8.
+    "latin1.edges": b"0 1\n1 0 \xff\n",
+    "latin1.sig": b"1.0\n\xff\n0.0\n",
 }
 
 
@@ -102,12 +107,17 @@ def write_inputs(d: Path) -> None:
     star = np.zeros((N, N))  # reversible, with a degenerate eigenvalue 0
     star[0, 1:] = star[1:, 0] = np.arange(1, N)
     write_edge_list(star, d / "star.edges")
+    grid = np.arange(N).reshape(8, 8)  # each node's successor along both axes
+    torus = np.zeros((N, N))
+    for axis in (0, 1):
+        torus[grid.ravel(), np.roll(grid, -1, axis=axis).ravel()] = 1.0
+    write_edge_list(torus, d / "torus.edges")
     x = rng.standard_normal(N)
     (d / "x.sig").write_text("".join(f"{v!r}\n" for v in x.tolist()))
     z = x + 1j * rng.standard_normal(N)
     (d / "z.sig").write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in z.tolist()))
     for name, text in BAD_FILES.items():
-        (d / name).write_text(text)
+        (d / name).write_bytes(text.encode() if isinstance(text, str) else text)
 
 
 def argvs() -> list:
@@ -122,6 +132,7 @@ def argvs() -> list:
         ["--graph", "file", "--input", "{d}/graph.mtx"],
         ["--graph", "file", "--input", "{d}/symmetric.mtx"],
         ["--graph", "file", "--input", "{d}/pattern.mtx"],
+        ["--graph", "file", "--input", "{d}/torus.edges"],
     ]
     out = []
     for g in graphs:
@@ -165,6 +176,7 @@ def argvs() -> list:
         ["filter", "{d}/cols.sig"],
         ["diffuse", "{d}/empty.sig"],
         ["filter", "{d}/short.sig"],
+        ["filter", "{d}/latin1.sig"],
         ["indices", "--graph", "file"],
         *[["indices", "--graph", "file", "--input", "{d}/" + name]
           for name in BAD_FILES if name.endswith((".edges", ".mtx"))],
