@@ -7,8 +7,8 @@ script writes its inputs to a temporary directory: an edge list, three
 Matrix Market files written by scipy.io.mmwrite (real general, real
 symmetric and pattern), six birth-death edge lists (BIRTH_DEATH), the
 edge list of the star joining node 0 to node i by weight i, that of the
-8 x 8 directed torus (normal and not symmetric, with repeated eigenvalues
-of multiplicity up to 4), a real and a complex signal file, and the
+8 x 8 directed torus (normal and not symmetric; its eigenvalue 0 has
+multiplicity 8, the others 1 or 2), a real and a complex signal file, and the
 malformed files the rejections read.  It
 runs a fixed list of argvs as `python -m bgft.cli` under each tree, with
 BGFT_SEED unset, and compares exit status, stdout, stderr and any --out
