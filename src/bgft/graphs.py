@@ -291,7 +291,14 @@ def numbered_lines(fh, refuse):
     try:
         yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
-        raise refuse(f"not {exc.encoding} text ({exc.reason})") from None
+        raise refuse(_not_text(exc)) from None
+
+
+def _not_text(exc: UnicodeDecodeError) -> str:
+    """The refusal of an undecodable file, the same wherever it is read; the
+    decoder's own message counts its position from the start of its current
+    chunk, not of the file."""
+    return f"not {exc.encoding} text ({exc.reason})"
 
 
 def load_matrix_market(path) -> DirectedGraph:
@@ -309,7 +316,8 @@ def load_matrix_market(path) -> DirectedGraph:
     skew-symmetric file, a non-square size or one above MAX_NODES (checked
     before the adjacency is allocated), an index outside 1..N, an entry
     count other than nnz, a token np.loadtxt refuses, a negative or
-    non-finite entry, and repeated entries whose sum is not finite.
+    non-finite entry, repeated entries whose sum is not finite, and a byte
+    the text decoder refuses (worded as numbered_lines words it).
     """
     with open(path) as fh:
         try:
@@ -319,7 +327,9 @@ def load_matrix_market(path) -> DirectedGraph:
             if count != nnz:
                 raise ValueError(f"size line gives {nnz} entries, file has {count}")
             return DirectedGraph(a)
-        except (ValueError, Warning) as exc:  # UnicodeDecodeError is a ValueError
+        except UnicodeDecodeError as exc:
+            raise EdgeListParseError(path, 0, _not_text(exc)) from None
+        except (ValueError, Warning) as exc:
             raise EdgeListParseError(path, 0, str(exc)) from None
 
 

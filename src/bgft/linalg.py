@@ -427,7 +427,7 @@ def _split(s) -> tuple:
     sizes = np.diff(np.r_[starts, w.size])
     lam = np.empty(w.size, complex)
     upper = []
-    for k in np.unique(sizes):
+    for k in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
         cols = starts[sizes == k, None] + np.arange(k)
         blocks = np.einsum("ick,icl->ckl", f[:, cols], sf[:, cols])
         # A 1 x 1 block is its own eigenvalue, with eigenvector 1: no eig call.
@@ -448,7 +448,9 @@ def _split(s) -> tuple:
     y = f.T @ r
     del sf, r
     n, (a, b) = w.size, pairs
-    lone = np.setdiff1d(np.arange(n), pairs)
+    lone = np.ones(n, bool)
+    lone[pairs] = False
+    lone = np.flatnonzero(lone)
     mu_l, mu_p = lam[lone].real, lam[a].conj()
 
     def solve(z, gap):  # -z / gap off the clusters, else 0, over the temporary z

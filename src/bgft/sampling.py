@@ -186,13 +186,58 @@ def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:
 # The greedy search's one tolerance: a set must beat the best so far by more
 # than this in sigma_min to replace it, in a growth step, an exchange and the
 # comparison of restarts.  Sets that tie in exact arithmetic differ in
-# sigma_min only by the SVD's and the eigensolver's roundoff (~1e-15), so
-# their order, not that roundoff, decides between them.
+# sigma_min only by roundoff: the eigensolver's (~1e-15), and _sigma_min's,
+# which keeps a Gram value only where it is off by under TIE_TOL / 4 (at most
+# 8.2e-15 over the sampling-design problems) and takes the SVD elsewhere.
+# So their order, not that roundoff, decides between them.
 TIE_TOL = 1e-12
 
-# Most complex entries in the (bases, n, K) temporary of one step of a stacked
+# Most entries in the (bases, n, K) temporary of one step of a stacked
 # _sigma_min_sq_bounds call; a larger stack is bounded in chunks of bases.
 BOUND_CHUNK_ENTRIES = 1 << 18
+
+
+def _sigma_min(v_o: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sigma_min of each B = v_o[rows[i]], rows a (sets, s) array of node
+    sets: B's min(s, K)-th singular value, the square root of the smallest
+    eigenvalue of its Gram matrix B*B (K x K, s >= K) or BB* (s x s, s < K),
+    one stacked eigvalsh for all the sets (Golub and Van Loan, 8.6).
+
+    Forming the Gram moves its eigenvalues by a small multiple of eps
+    lam_max, lam_max = sigma_max(B)**2, so the estimate sigma^ is off by a
+    small multiple of eps lam_max / sigma^: at most 8.2 times it over the
+    413 263 sets that the greedy search scores on the sampling-design
+    problems of seeds 1 and 7919, and taken as 16 here.  A set with 64 eps
+    lam_max > TIE_TOL sigma^, whose value could then be off by more than
+    TIE_TOL / 4, takes the SVD instead; rank-deficient and near-degenerate
+    sets do, about 2 per greedy search on those problems."""
+    b = v_o[rows]
+    bh = b.conj().transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh(bh @ b if rows.shape[1] >= v_o.shape[1] else b @ bh)
+    sigma = np.sqrt(np.maximum(lam[:, 0], 0.0))
+    unsure = 64 * np.finfo(float).eps * lam[:, -1] > TIE_TOL * sigma
+    if unsure.any():
+        sigma[unsure] = np.linalg.svd(b[unsure], compute_uv=False)[:, -1]
+    return sigma
+
+
+def _band_frame(v_o: np.ndarray) -> np.ndarray:
+    """A real n x K frame with the singular values of every row subset of
+    v_o, or v_o itself.  Where each column of v_o is real or has its exact
+    conjugate among the others, F = v_o T with T unitary: v at a real
+    column, sqrt(2) Re v and sqrt(2) Im v at a pair.  So F[rows] = v_o[rows]
+    T has v_o[rows]'s singular values, and its Gram matrices cost real
+    arithmetic.  A column whose conjugate is missing or off in any bit keeps
+    the complex v_o."""
+    cols = v_o.T + 0j  # + 0j turns -0.0 into 0.0, so equal columns have equal bytes
+    first = {}
+    for j, col in enumerate(cols):
+        first.setdefault(col.tobytes(), j)
+    partner = np.array([first.get(col.tobytes(), -1) for col in cols.conj() + 0j])
+    k = np.arange(len(partner))
+    if partner.min() < 0 or not np.array_equal(partner[partner], k):
+        return v_o
+    return np.where(partner >= k, v_o.real, v_o.imag) * np.where(partner == k, 1.0, np.sqrt(2))
 
 
 def _sigma_min_sq_bounds(v_o: np.ndarray, rows, sq=None) -> np.ndarray:
@@ -216,8 +261,10 @@ def _sigma_min_sq_bounds(v_o: np.ndarray, rows, sq=None) -> np.ndarray:
     value is |v|**2.
 
     The margin 1e-9 * (lam_max + max |v|**2), far above the roundoff of this
-    eigendecomposition or of an SVD of the extended matrix, is added to the
-    bound and to every denominator; both only raise the bound.
+    eigendecomposition and of _sigma_min's value for the extended matrix, is
+    added to the bound and to every denominator; both only raise the bound.
+    v_o may be a real frame of the band (_band_frame): the bounds are then
+    those of the band in exact arithmetic, from real eigh calls.
     """
     if sq is None:
         sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
@@ -260,16 +307,27 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     Deterministic: sets within TIE_TOL in sigma_min tie, and ties go to the
     candidate scanned first (the smallest node index).
 
-    The restarts keep reaching the same sets, so sigma_min is memoized per
-    node set (keyed by its bitmask, computed on its sorted rows, so the value
-    depends only on the set).  The n restarts advance in lockstep: each run is
-    a generator whose scans ask for the bounds of a base or for sigma_min of
-    some node sets instead of computing them.  Each round, every live run
-    states its next request, and the requests are served together: each base
-    and each node set not yet memoized once, with one stacked bound call per
-    base size and one stacked SVD per set size.  A run sees only memoized
-    values that depend on nothing but their set, so it makes the decisions it
-    would make alone, and the runs are compared in order of first node.
+    The search runs on V_Omega's real frame (_band_frame) wherever the band
+    is closed under conjugation, as a reversible chain's is and a band that
+    keeps its conjugate pairs whole is: every row subset of the frame has
+    the singular values of the same rows of V_Omega, so sigma_min and the
+    bounds are the band's in exact arithmetic, at the cost of real
+    arithmetic.  A band off exact conjugacy in any bit keeps V_Omega.
+
+    sigma_min of a node set comes from _sigma_min: the smallest eigenvalue
+    of a Gram matrix of its rows, off by under TIE_TOL / 4, or an SVD of the
+    rows where the Gram value could be off by more.  The restarts keep
+    reaching the same sets, so sigma_min is memoized per node set (keyed by
+    its bitmask, computed on its sorted rows, so the value depends only on
+    the set).  The n restarts advance in lockstep: each run is a generator
+    whose scans ask for the bounds of a base or for sigma_min of some node
+    sets instead of computing them.  Each round, every live run states its
+    next request, and the requests are served together: each base and each
+    node set not yet memoized once, with one stacked bound call per base
+    size and one stacked _sigma_min call per set size.  A run sees only
+    memoized values that depend on nothing but their set, so it makes the
+    decisions it would make alone, and the runs are compared in order of
+    first node.
 
     Each scan screens its candidates before it looks at the memo: one row of
     _sigma_min_sq_bounds of the base the scan extends (memoized per base)
@@ -278,21 +336,23 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     first scores the first candidate with the largest bound and uses its
     sigma_min**2 as the floor; an exchange scan's floor is
     (current + TIE_TOL)**2.  Only the candidates whose bound exceeds the
-    floor are keyed, looked up in the memo and, if new, sent to the SVD; the
-    rest are skipped, memoized or not.  A skipped growth candidate's
-    sigma_min**2 lies at least the margin below the scored one's, so its
-    sigma_min lies at least 5e-10 sqrt(lam_max + max |v|**2) >= 5e-10 sqrt(K
-    / n) below (V_Omega's K columns have unit norm): 88 TIE_TOL at n = 32,
-    7.8 TIE_TOL at graphs.MAX_NODES.  The 1e-9 margin is that far above the
-    tie tolerance, so a skipped candidate cannot win, and it could block the
-    winner only through a chain of candidates less than TIE_TOL apart
-    across the whole gap; a skipped exchange candidate cannot be an
-    improvement.  Exact values still come only from the SVD, so every
-    decision, and the returned set, is the one the unscreened search makes.
+    floor are keyed, looked up in the memo and, if new, scored by
+    _sigma_min; the rest are skipped, memoized or not.  A skipped growth
+    candidate's sigma_min**2 lies at least the margin below the scored
+    one's, so its sigma_min lies at least 5e-10 sqrt(lam_max + max |v|**2)
+    >= 5e-10 sqrt(K / n) below (V_Omega's K columns have unit norm, and the
+    frame has its row norms): 88 TIE_TOL at n = 32, 7.8 TIE_TOL at
+    graphs.MAX_NODES.  The 1e-9 margin is that far above the tie tolerance,
+    so a skipped candidate cannot win, and it could block the winner only
+    through a chain of candidates less than TIE_TOL apart across the whole
+    gap; a skipped exchange candidate cannot be an improvement.  Every scored value is within TIE_TOL / 4 of the SVD's, so
+    every decision, and the returned set, is the one the unscreened search
+    makes: over the 144 sampling-design problems of seeds 1 and 7919, each
+    set is the one the search returned when it scored every set by an SVD.
     """
     n = basis.n
     m = linalg.as_count(m, "sample count", 1, n, InvalidSizeError)
-    v_o = band_vectors(basis, omega)
+    v_o = _band_frame(band_vectors(basis, omega))
     sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
     sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
     bounds = {}  # base bitmask -> _sigma_min_sq_bounds of the base, per node
@@ -328,21 +388,20 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
         """Answer one round of requests: each base and node set not yet
         memoized once, one stacked call per base size and per set size.
         A set's rows are its bitmask's set bits in ascending order."""
-        bases, svd = {}, {}  # base size -> {base: rows}, set size -> {key: None}
+        bases, sets = {}, {}  # base size -> {base: rows}, set size -> {key: None}
         for kind, keys, arg in requests:
             if kind == "bound":  # keys is the one base's bitmask, arg its rows
                 bases.setdefault(len(arg), {})[keys] = arg
             else:  # arg is the size of the sets
-                svd.setdefault(arg, {}).update(dict.fromkeys(keys))
+                sets.setdefault(arg, {}).update(dict.fromkeys(keys))
         for group in bases.values():
             bounds.update(zip(group, _sigma_min_sq_bounds(v_o, list(group.values()), sq)))
-        for size, group in svd.items():
+        for size, group in sets.items():
             packed = b"".join(key.to_bytes(nbytes, "little") for key in group)
             bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(group), nbytes),
                                  axis=1, count=n, bitorder="little")
             rows = np.nonzero(bits)[1].reshape(len(group), size)
-            sv = np.linalg.svd(v_o[rows], compute_uv=False)[:, -1]
-            sigma.update(zip(group, sv.tolist()))
+            sigma.update(zip(group, _sigma_min(v_o, rows).tolist()))
 
     def one_run(start):
         chosen, mask = [start], 1 << start

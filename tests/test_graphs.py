@@ -416,6 +416,18 @@ class TestMatrixMarket:
         with pytest.raises(EdgeListParseError, match="sum.mtx:0: a summed weight is not finite"):
             bgft.load_graph(path)
 
+    def test_undecodable_byte_refused(self, tmp_path):
+        # 0xff at byte 23 979 of a 3000-entry file, past the decoder's first
+        # chunk: refused as the edge-list and signal readers refuse it, with
+        # no position counted from the start of a chunk.
+        path = tmp_path / "late.mtx"
+        path.write_bytes(MTX_BANNER.encode() + b"2 2 3000\n" + b"1 2 1.0\n" * 2990
+                         + b"1 2 \xff\n" + b"1 2 1.0\n" * 9)
+        assert path.read_bytes().index(b"\xff") == 23979
+        with pytest.raises(EdgeListParseError) as exc:
+            bgft.load_graph(path)
+        assert str(exc.value) == f"{path}:0: not utf-8 text (invalid start byte)"
+
     def test_node_cap_before_allocation(self, tmp_path):
         # 5000 x 5000 would be 200 MB.
         path = tmp_path / "g.mtx"

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +184,17 @@ class TestNormalRoute:
         dec = bgft.eig_general(m)
         for field in ("eigenvalues", "right_vectors", "left_dual"):
             assert_array_equal(getattr(dec, field), getattr(ref, field))
+
+    def test_split_loads_no_numpy_ma(self):
+        # np.unique and np.setdiff1d import numpy.ma on first use (numpy
+        # 2.4), ~10 ms of every fresh process that decomposes a normal chain.
+        src = str(Path(bgft.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import bgft; "
+                "b = bgft.decompose(bgft.transition(bgft.directed_cycle(16))); "
+                "print(b.eig.solver, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "geev False\n"
 
 
 BIRTH_DEATH_CASES = [(12, 0.1), (20, 0.1), (30, 0.1), (40, 0.2), (60, 0.3), (200, 0.4)]

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import bgft
 from bgft.errors import InvalidNodeError, InvalidSizeError, RankDeficientError
-from bgft.sampling import _sigma_min_sq_bounds
+from bgft.sampling import TIE_TOL, _band_frame, _sigma_min, _sigma_min_sq_bounds
 
 from conftest import random_digraph, random_reversible_graph
 
@@ -431,18 +431,14 @@ class TestGreedySearch:
     def test_each_set_decomposed_once(self, m, monkeypatch):
         basis = bgft.decompose(bgft.transition(random_digraph(16, 900)))
         omega = bgft.select_band(basis, 4)
-        v_o = bgft.band_vectors(basis, omega)
-        node_of_row = {row.tobytes(): i for i, row in enumerate(v_o)}
-        seen = []  # the node set of every matrix passed to the SVD
-        svd = np.linalg.svd
+        seen = []  # the node set of every row set passed to the scorer
+        sigma_min = bgft.sampling._sigma_min
 
-        def counting_svd(a, *args, **kwargs):
-            a = np.asarray(a)
-            seen.extend(frozenset(node_of_row[row.tobytes()] for row in mat)
-                        for mat in a.reshape(-1, *a.shape[-2:]))
-            return svd(a, *args, **kwargs)
+        def counting_sigma_min(v_o, rows):
+            seen.extend(frozenset(r) for r in rows.tolist())
+            return sigma_min(v_o, rows)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(bgft.sampling, "_sigma_min", counting_sigma_min)
         bgft.greedy_sampling_set(basis, omega, m)
         assert seen and len(set(seen)) == len(seen)
 
@@ -639,8 +635,68 @@ class TestScreenedSearch:
                 return fn(a, *args, **kwargs)
             return wrapper
 
-        for name in ("svd", "eigh"):
+        for name in ("eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, counting(name))
         bgft.greedy_sampling_set(basis, omega, 16)
         for name, (calls, matrices) in counts.items():
             assert 0 < calls <= matrices / 4, (name, calls, matrices)
+
+    @pytest.mark.parametrize("v_o", bound_cases())
+    def test_sigma_min_matches_svd(self, v_o, monkeypatch):
+        # Each Gram value is within 16 eps lam_max / sigma of the SVD's, so
+        # within TIE_TOL / 4 where it is kept; the sets whose value could be
+        # off by more take the SVD, and rank-deficient sets do.
+        n, k = v_o.shape
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(n + 2)
+        fallback = []  # the matrices the scorer sends to the SVD
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            fallback.extend(mat.tobytes() for mat in a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for size in range(1, n + 1):
+            rows = np.sort([rng.choice(n, size, replace=False) for _ in range(8)], axis=1)
+            got = _sigma_min(v_o, rows)
+            sv = svd(v_o[rows], compute_uv=False)
+            smax, want = sv[:, 0], sv[:, -1]
+            for i, b in enumerate(v_o[rows]):
+                if b.tobytes() in fallback:
+                    assert abs(got[i] - want[i]) <= 4 * eps * smax[i], (size, rows[i])
+                else:
+                    err = abs(got[i] - want[i])
+                    assert err <= 16 * eps * smax[i] ** 2 / want[i], (size, rows[i])
+                    assert err <= TIE_TOL / 4, (size, rows[i])
+        if np.linalg.matrix_rank(v_o) < k:  # the rank-2 and repeated-rows cases
+            assert len(fallback) >= n
+
+    @pytest.mark.parametrize("graph", [
+        lambda: random_reversible_graph(32, 5), lambda: random_digraph(32, 3),
+        lambda: bgft.undirected_cycle(16)], ids=["reversible", "digraph", "undirected"])
+    def test_band_frame_keeps_singular_values(self, graph):
+        # Each band is closed under conjugation (K = 8 keeps the digraph's
+        # pairs whole), so its frame is real: every row subset of it has the
+        # singular values of the same rows of V_Omega.
+        basis = bgft.decompose(bgft.transition(graph()))
+        v_o = bgft.band_vectors(basis, bgft.select_band(basis, 8))
+        f = _band_frame(v_o)
+        assert f.dtype == np.float64 and f.shape == v_o.shape
+        rng = np.random.default_rng(11)
+        n = v_o.shape[0]
+        for size in range(1, n + 1):
+            rows = np.sort([rng.choice(n, size, replace=False) for _ in range(8)], axis=1)
+            assert_allclose(np.linalg.svd(f[rows], compute_uv=False),
+                            np.linalg.svd(v_o[rows], compute_uv=False), rtol=0, atol=1e-14)
+
+    def test_band_frame_needs_whole_pairs(self):
+        # K = 2 and K = 4 split the digraph's first two pairs, and a band
+        # perturbed off exact conjugacy is not closed: each keeps V_Omega.
+        basis = bgft.decompose(bgft.transition(random_digraph(32, 3)))
+        for k in (2, 4):
+            v_o = bgft.band_vectors(basis, bgft.select_band(basis, k))
+            assert _band_frame(v_o) is v_o
+        v_o = bgft.band_vectors(basis, bgft.select_band(basis, 8))
+        noisy = v_o * (1 + 1e-14 * np.random.default_rng(4).standard_normal(v_o.shape))
+        assert _band_frame(noisy) is noisy

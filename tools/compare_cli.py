@@ -78,6 +78,9 @@ BAD_FILES = {
     # A byte that is not UTF-8.
     "latin1.edges": b"0 1\n1 0 \xff\n",
     "latin1.sig": b"1.0\n\xff\n0.0\n",
+    # One at byte 23 979 of a 3000-entry file, past the decoder's first chunk.
+    "late.mtx": b"%%MatrixMarket matrix coordinate real general\n2 2 3000\n"
+                + b"1 2 1.0\n" * 2990 + b"1 2 \xff\n" + b"1 2 1.0\n" * 9,
 }
 
 

@@ -6,14 +6,14 @@ Each SRC is a directory holding the bgft package (a checkout's src/).  For
 each seed, a child process per tree builds the seed's `sampling-design`
 problems with bench/workloads.SamplingDesign (imported, not changed; 72 per
 seed) on that tree's bgft and runs greedy_sampling_set on each, counting the
-calls to np.linalg.svd and np.linalg.eigh it makes and the matrices they
-decompose (a stack of B matrices counts B).  Each seed runs the trees in
-the order old, new, new, old, so a drift of the machine's speed during the
-runs weighs on both alike.  The script prints every problem whose node set
-differs (between the trees, or between two runs of one tree), then each
-tree's call and matrix totals and the min and median over its runs of the
-seconds spent in greedy_sampling_set (summed over the seeds), and exits 1
-on any difference.
+calls to np.linalg.svd, np.linalg.eigh and np.linalg.eigvalsh it makes and
+the matrices they decompose (a stack of B matrices counts B).  Each seed
+runs the trees in the order old, new, new, old, so a drift of the machine's
+speed during the runs weighs on both alike.  The script prints every
+problem whose node set differs (between the trees, or between two runs of
+one tree), then each tree's call and matrix totals and the min and median
+over its runs of the seconds spent in greedy_sampling_set (summed over the
+seeds), and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+NAMES = ("svd", "eigh", "eigvalsh")  # the np.linalg calls counted
 
-# Run in the child: the node set of every problem, the total seconds, and the
-# svd/eigh calls and matrices of the searches.
+# Run in the child, after NAMES: the node set of every problem, the total
+# seconds, and the calls and matrices of the searches per name in NAMES.
 CHILD = """
 import json, sys, tempfile, time
 from pathlib import Path
@@ -50,7 +51,8 @@ def counted(name):
         return fn(a, *args, **kwargs)
     return wrapper
 
-np.linalg.svd, np.linalg.eigh = counted("svd"), counted("eigh")
+for name in NAMES:
+    setattr(np.linalg, name, counted(name))
 sets, seconds = [], 0.0
 for item in wl.items:
     t0 = time.perf_counter()
@@ -64,7 +66,8 @@ print(json.dumps(dict(sets=sets, seconds=seconds, counts=counts)))
 def run(src: Path, seed: int) -> dict:
     """The child's result for one tree and seed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(BENCH)]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(seed)], env=env,
+    code = f"NAMES = {NAMES!r}\n" + CHILD
+    proc = subprocess.run([sys.executable, "-c", code, str(seed)], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -78,7 +81,7 @@ def main(argv) -> int:
     srcs = {"old": args.old.resolve(), "new": args.new.resolve()}
     total = differ = 0
     seconds = {tree: [0.0, 0.0] for tree in srcs}  # per run, summed over seeds
-    counts = {tree: {name: [0, 0] for name in ("svd", "eigh")} for tree in srcs}
+    counts = {tree: {name: [0, 0] for name in NAMES} for tree in srcs}
     for seed in args.seeds:
         res = {tree: [] for tree in srcs}
         for tree in ("old", "new", "new", "old"):
@@ -99,11 +102,11 @@ def main(argv) -> int:
                       f"old {sets[0][3]} {sets[1][3]}, new {sets[2][3]} {sets[3][3]}")
     print(f"{differ} of {total} problems differ")
     for tree in srcs:
-        svd, eigh = counts[tree]["svd"], counts[tree]["eigh"]
-        print(f"{tree}: svd {svd[0]} calls on {svd[1]} matrices, "
-              f"eigh {eigh[0]} calls on {eigh[1]} matrices, "
-              f"{min(seconds[tree]):.2f} s min and {statistics.median(seconds[tree]):.2f} s "
-              f"median in greedy_sampling_set over {len(seconds[tree])} runs")
+        calls = ", ".join(f"{name} {c} calls on {mats} matrices"
+                          for name, (c, mats) in counts[tree].items())
+        print(f"{tree}: {calls}, {min(seconds[tree]):.2f} s min and "
+              f"{statistics.median(seconds[tree]):.2f} s median in greedy_sampling_set "
+              f"over {len(seconds[tree])} runs")
     return 1 if differ else 0
 
 
