@@ -545,6 +545,18 @@ def bound_cases():
     yield pytest.param(low, id="rank2-n12-K5")
 
 
+def large_set_cases():
+    # Sets of up to 256 rows, far past the ~40 of the sets on which the Gram
+    # scorer's error constant was measured.
+    rng = np.random.default_rng(4321)
+    v = rng.standard_normal((256, 16)) + 1j * rng.standard_normal((256, 16))
+    yield pytest.param(v, id="random-n256-K16")
+    g = bgft.add_directed_chord(bgft.directed_cycle(256), 20, 0, 128)
+    basis = bgft.decompose(bgft.transition(g))
+    yield pytest.param(bgft.band_vectors(basis, bgft.select_band(basis, 16)),
+                       id="perturbed-n256-K16")
+
+
 class TestScreenedSearch:
     @pytest.mark.parametrize("v_o", bound_cases())
     def test_bound_dominates_exact(self, v_o):
@@ -566,15 +578,20 @@ class TestScreenedSearch:
         basis = bgft.decompose(bgft.transition(screen_graph(kind, n)))
         omega = bgft.select_band(basis, k)
         v_o = bgft.band_vectors(basis, omega)
-        matrices = []  # matrices passed to the SVD, per search
-        svd = np.linalg.svd
+        matrices = []  # sets scored per search: SVD matrices and _sigma_min rows
+        svd, sigma_min = np.linalg.svd, bgft.sampling._sigma_min
 
         def counting_svd(a, *args, **kwargs):
             a = np.asarray(a)
             matrices[-1] += a.reshape(-1, *a.shape[-2:]).shape[0]
             return svd(a, *args, **kwargs)
 
+        def counting_sigma_min(v, rows):
+            matrices[-1] += len(rows)
+            return sigma_min(v, rows)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(bgft.sampling, "_sigma_min", counting_sigma_min)
         matrices.append(0)
         want = memoized_greedy(v_o, m)
         matrices.append(0)
@@ -641,7 +658,7 @@ class TestScreenedSearch:
         for name, (calls, matrices) in counts.items():
             assert 0 < calls <= matrices / 4, (name, calls, matrices)
 
-    @pytest.mark.parametrize("v_o", bound_cases())
+    @pytest.mark.parametrize("v_o", [*bound_cases(), *large_set_cases()])
     def test_sigma_min_matches_svd(self, v_o, monkeypatch):
         # Each Gram value is within 16 eps lam_max / sigma of the SVD's, so
         # within TIE_TOL / 4 where it is kept; the sets whose value could be
@@ -680,8 +697,9 @@ class TestScreenedSearch:
         # pairs whole), so its frame is real: every row subset of it has the
         # singular values of the same rows of V_Omega.
         basis = bgft.decompose(bgft.transition(graph()))
-        v_o = bgft.band_vectors(basis, bgft.select_band(basis, 8))
-        f = _band_frame(v_o)
+        omega = bgft.select_band(basis, 8)
+        v_o = bgft.band_vectors(basis, omega)
+        f = _band_frame(basis, omega)
         assert f.dtype == np.float64 and f.shape == v_o.shape
         rng = np.random.default_rng(11)
         n = v_o.shape[0]
@@ -690,13 +708,17 @@ class TestScreenedSearch:
             assert_allclose(np.linalg.svd(f[rows], compute_uv=False),
                             np.linalg.svd(v_o[rows], compute_uv=False), rtol=0, atol=1e-14)
 
-    def test_band_frame_needs_whole_pairs(self):
+    def test_band_frame_needs_whole_pairs(self, monkeypatch):
         # K = 2 and K = 4 split the digraph's first two pairs, and a band
-        # perturbed off exact conjugacy is not closed: each keeps V_Omega.
+        # that band_vectors returns off exact conjugacy is not closed: each
+        # is searched as V_Omega.
         basis = bgft.decompose(bgft.transition(random_digraph(32, 3)))
         for k in (2, 4):
-            v_o = bgft.band_vectors(basis, bgft.select_band(basis, k))
-            assert _band_frame(v_o) is v_o
-        v_o = bgft.band_vectors(basis, bgft.select_band(basis, 8))
+            omega = bgft.select_band(basis, k)
+            f = _band_frame(basis, omega)
+            assert np.array_equal(f, bgft.band_vectors(basis, omega)) and f.dtype == complex
+        omega = bgft.select_band(basis, 8)
+        v_o = bgft.band_vectors(basis, omega)
         noisy = v_o * (1 + 1e-14 * np.random.default_rng(4).standard_normal(v_o.shape))
-        assert _band_frame(noisy) is noisy
+        monkeypatch.setattr(bgft.sampling, "band_vectors", lambda *args: noisy)
+        assert _band_frame(basis, omega) is noisy
