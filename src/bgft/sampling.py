@@ -193,6 +193,8 @@ def random_sampling_set(n: int, m: int, rng_seed: int) -> SamplingSet:
 # So their order, not that roundoff, decides between them.
 TIE_TOL = 1e-12
 
+_EPS = np.finfo(float).eps
+
 # Most entries in the (bases, n, K) temporary of one step of a stacked
 # _sigma_min_sq_bounds call; a larger stack is bounded in chunks of bases.
 BOUND_CHUNK_ENTRIES = 1 << 18
@@ -215,11 +217,11 @@ def _sigma_min(v_o: np.ndarray, rows: np.ndarray) -> np.ndarray:
     value could then be off by more than TIE_TOL / 4, takes the SVD
     instead; rank-deficient and near-degenerate sets do, about 2 per greedy
     search on those problems."""
-    b = v_o[rows]
-    bh = b.conj().transpose(0, 2, 1)
+    b = v_o.take(rows, axis=0)
+    bh = (b.conj() if np.iscomplexobj(b) else b).transpose(0, 2, 1)
     lam = np.linalg.eigvalsh(bh @ b if rows.shape[1] >= v_o.shape[1] else b @ bh)
     sigma = np.sqrt(np.maximum(lam[:, 0], 0.0))
-    unsure = 64 * np.finfo(float).eps * lam[:, -1] > TIE_TOL * sigma
+    unsure = 64 * _EPS * lam[:, -1] > TIE_TOL * sigma
     if unsure.any():
         sigma[unsure] = np.linalg.svd(b[unsure], compute_uv=False)[:, -1]
     return sigma
@@ -245,6 +247,11 @@ def _band_frame(basis: BgftBasis, omega: BandSupport) -> np.ndarray:
     if inside[partner].all() and np.array_equal(v_o[:, np.searchsorted(om, partner)], v_o.conj()):
         return basis.eig.right_frame[:, om]
     return v_o
+
+
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|**2, without np.abs's copy where a is real."""
+    return np.square(a) if np.isrealobj(a) else np.abs(a) ** 2
 
 
 def _sigma_min_sq_bounds(v_o: np.ndarray, rows, sq=None) -> np.ndarray:
@@ -285,12 +292,12 @@ def _sigma_min_sq_bounds(v_o: np.ndarray, rows, sq=None) -> np.ndarray:
         return out
     step = max(1, BOUND_CHUNK_ENTRIES // (n * k))
     for lo in range(0, len(rows), step):
-        b = v_o[rows[lo:lo + step]]
-        bh = b.conj().transpose(0, 2, 1)
+        b = v_o.take(rows[lo:lo + step], axis=0)
+        bh = (b.conj() if np.iscomplexobj(b) else b).transpose(0, 2, 1)
         if rows.shape[1] >= k:
             lam, q = np.linalg.eigh(bh @ b)
             margin = 1e-9 * (lam[:, -1:] + sq.max())
-            z = np.abs(v_o @ q) ** 2
+            z = _abs2(v_o @ q)
             inv = 1 / (lam[:, 1:] - lam[:, :1] + margin)
             bound = lam[:, :1] + z[:, :, 0] / (1 + (z[:, :, 1:] @ inv[:, :, None])[:, :, 0])
             if k > 1:
@@ -298,7 +305,7 @@ def _sigma_min_sq_bounds(v_o: np.ndarray, rows, sq=None) -> np.ndarray:
         else:
             lam, w = np.linalg.eigh(b @ bh)
             margin = 1e-9 * (lam[:, -1:] + sq.max())
-            y = np.abs(v_o @ (bh @ w)) ** 2
+            y = _abs2(v_o @ (bh @ w))
             inv = 1 / (lam + margin)
             bound = np.minimum(np.maximum(sq - (y @ inv[:, :, None])[:, :, 0], 0.0), lam[:, :1])
         out[lo:lo + step] = bound + margin
@@ -324,17 +331,30 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     sigma_min of a node set comes from _sigma_min: the smallest eigenvalue
     of a Gram matrix of its rows, off by under TIE_TOL / 4, or an SVD of the
     rows where the Gram value could be off by more.  The restarts keep
-    reaching the same sets, so sigma_min is memoized per node set (keyed by
-    its bitmask, computed on its sorted rows, so the value depends only on
-    the set).  The n restarts advance in lockstep: each run is a generator
-    whose scans ask for the bounds of a base or for sigma_min of some node
-    sets instead of computing them.  Each round, every live run states its
-    next request, and the requests are served together: each base and each
-    node set not yet memoized once, with one stacked bound call per base
-    size and one stacked _sigma_min call per set size.  A run sees only
-    memoized values that depend on nothing but their set, so it makes the
-    decisions it would make alone, and the runs are compared in order of
-    first node.
+    reaching the same sets, so sigma_min is memoized per node set, keyed by
+    its bitmask and computed on its rows in ascending order, so the value
+    depends only on the set.  Three more memos are facts about sets alone:
+    each base's bound row, the node a growth step adds to a set (its
+    candidates are all the nodes outside it, in node order), and the (set,
+    node) pairs where no exchange of the node for any candidate improves the
+    set (no later scan of the pair, over fewer candidates, finds one either).
+
+    The n restarts advance in rounds.  Each run is a generator that
+    computes nothing itself: a scan the memos answer goes on at once, and
+    any other is one request, (mask, None) for a growth step and (base,
+    current sigma_min, candidate list, first position, node taken out) for
+    an exchange scan.  Each round, one pass serves every waiting run: the
+    bases not yet bounded, then the growth scans' top sets, then the sets
+    each answer needs, each stage one stacked call per size
+    (_sigma_min_sq_bounds for the bases, _sigma_min for the sets), each base
+    and set computed once, and every scan's candidates above its floor
+    picked by one comparison of the round's bound rows.  The pass decides
+    each growth step once, however many runs ask, and answers an exchange
+    scan with the position of its first improving candidate.  A set's size
+    is its bitmask's bit count, and its rows are its set bits.  A run sees
+    only memoized values that depend on nothing but their set (a bound only
+    screens), so it makes the decisions it would make alone, whichever
+    round serves it, and the runs are compared in order of first node.
 
     Each scan screens its candidates before it looks at the memo: one row of
     _sigma_min_sq_bounds of the base the scan extends (memoized per base)
@@ -364,65 +384,122 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
     v_o = _band_frame(basis, omega)
     sq = np.einsum("ij,ij->i", v_o, v_o.conj()).real
     sigma = {}  # node-set bitmask -> sigma_min(P_M V_Omega)
-    bounds = {}  # base bitmask -> _sigma_min_sq_bounds of the base, per node
+    bounds = {}  # base bitmask -> its bound row, -inf at the base's own nodes
+    listed = {}  # base bitmask -> its bound row as a list, once a memo scan reads it
+    grown = {}  # set bitmask -> the node a growth step adds to it
+    stuck = set()  # mask | node << n: no exchange of the node improves the set
     nbytes = (n + 7) // 8  # of a bitmask
 
-    def scan(chosen, mask, cands, pos=None, floor=None):
-        """Generator returning (live, values): the ascending positions in
-        cands of the candidates whose bound on sigma_min**2 exceeds floor,
-        and sigma_min of chosen with each of them appended (pos None) or put
-        in place of chosen[pos].  A growth step passes no floor; its floor is
-        sigma_min**2 of the first candidate with the largest bound.  It
-        yields ("bound", base, rows) and ("sigma", keys, size) requests, only
-        for values not yet memoized, which serve answers in bounds and sigma
-        before it resumes."""
-        base = mask if pos is None else mask & ~(1 << chosen[pos])
-        size = len(chosen) + (pos is None)
-        if base not in bounds:
-            yield "bound", base, chosen if pos is None else chosen[:pos] + chosen[pos + 1:]
-        row = bounds[base].tolist()
-        if floor is None:
-            top = max(cands, key=row.__getitem__)  # the first of equal bounds
-            if base | 1 << top not in sigma:
-                yield "sigma", [base | 1 << top], size
-            floor = sigma[base | 1 << top] ** 2
-        live = [i for i, c in enumerate(cands) if row[c] > floor]
-        keys = [base | 1 << cands[i] for i in live]
-        new = [t for t, key in enumerate(keys) if key not in sigma]
-        if new:
-            yield "sigma", [keys[t] for t in new], size
-        return live, [sigma[key] for key in keys]
-
-    def serve(requests):
-        """Answer one round of requests: each base and node set not yet
-        memoized once, one stacked call per base size and per set size.
-        A set's rows are its bitmask's set bits in ascending order."""
-        bases, sets = {}, {}  # base size -> {base: rows}, set size -> {key: None}
-        for kind, keys, arg in requests:
-            if kind == "bound":  # keys is the one base's bitmask, arg its rows
-                bases.setdefault(len(arg), {})[keys] = arg
-            else:  # arg is the size of the sets
-                sets.setdefault(arg, {}).update(dict.fromkeys(keys))
-        for group in bases.values():
-            bounds.update(zip(group, _sigma_min_sq_bounds(v_o, list(group.values()), sq)))
-        for size, group in sets.items():
-            packed = b"".join(key.to_bytes(nbytes, "little") for key in group)
+    def new_groups(keys, memo):
+        """(keys, rows) per set size of the keys not in memo, each key once:
+        rows is the (keys, size) array of each key's set bits, ascending.
+        The runs move in lockstep (every run's growth step t is served in
+        round t, and the exchanges all start after), so a round's bases, top
+        sets and answer sets each come in one size."""
+        new = [key for key in dict.fromkeys(keys) if key not in memo]
+        sizes = set(map(int.bit_count, new))
+        for size in sizes:
+            group = new if len(sizes) == 1 else [key for key in new if key.bit_count() == size]
+            packed = b"".join([key.to_bytes(nbytes, "little") for key in group])
             bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(group), nbytes),
                                  axis=1, count=n, bitorder="little")
-            rows = np.nonzero(bits)[1].reshape(len(group), size)
+            yield group, bits.nonzero()[1].reshape(len(group), size)
+
+    def score(keys):
+        """Memoize sigma_min of the node sets in keys, one stacked
+        _sigma_min call per set size."""
+        for group, rows in new_groups(keys, sigma):
             sigma.update(zip(group, _sigma_min(v_o, rows).tolist()))
 
+    def rank(bases):
+        """Memoize the bound rows of the bases, one stacked
+        _sigma_min_sq_bounds call per base size."""
+        for group, rows in new_groups(bases, bounds):
+            b = _sigma_min_sq_bounds(v_o, rows, sq)
+            b[np.arange(len(group))[:, None], rows] = -np.inf  # never candidates
+            bounds.update(zip(group, b))
+
+    def positions(cands, remaining, j, out):
+        """The ascending positions p >= j in remaining of the nodes in cands,
+        out (the node an exchange takes out of the set) left out."""
+        found = sorted([remaining.index(c) for c in cands if c != out])
+        return [p for p in found if p >= j] if j else found
+
+    def first_better(base, found, remaining, current):
+        """The first position in found whose node, added to base, makes a
+        set with sigma_min above current + TIE_TOL, or None."""
+        for p in found:
+            if sigma[base | 1 << remaining[p]] > current + TIE_TOL:
+                return p
+        return None
+
+    def serve(requests):
+        """Answer a round of scans, each stage stacked over the round: the
+        new bases are ranked, then the growth scans' top sets (the first
+        candidate with the largest bound) scored, then every candidate whose
+        bound exceeds its scan's floor.  A growth scan (mask, None) is
+        answered in grown, once per mask; an exchange scan (base, current,
+        remaining, j, out) with first_better(...) over its candidates, its
+        floor (current + TIE_TOL)**2."""
+        if not requests:
+            return []
+        masks = list(dict.fromkeys(mask for mask, current, *_ in requests if current is None))
+        scans = [request for request in requests if request[1] is not None]
+        bases = masks + [base for base, *_ in scans]
+        rank(bases)
+        rows = np.array([bounds[base] for base in bases])
+        tops = [mask | 1 << c for mask, c in zip(masks, rows[:len(masks)].argmax(axis=1).tolist())]
+        score(tops)
+        floors = [sigma[top] ** 2 for top in tops] + [(current + TIE_TOL) ** 2
+                                                      for _, current, *_ in scans]
+        live = rows > np.array(floors)[:, None]
+        counts, cols = live.sum(axis=1).tolist(), live.nonzero()[1].tolist()
+        found, keys, lo = [], [], 0
+        for mask, count in zip(masks, counts):
+            found.append(cols[lo:lo + count])  # in node order, as remaining is
+            keys += [mask | 1 << c for c in found[-1]]
+            lo += count
+        for (base, _, remaining, j, out), count in zip(scans, counts[len(masks):]):
+            found.append(positions(cols[lo:lo + count], remaining, j, out))
+            keys += [base | 1 << remaining[p] for p in found[-1]]
+            lo += count
+        score(keys)
+        for mask, cands in zip(masks, found):  # the first TIE_TOL above the rest
+            best, best_sigma = None, -1.0
+            for c in cands:
+                if (s := sigma[mask | 1 << c]) > best_sigma + TIE_TOL:
+                    best, best_sigma = c, s
+            # (with no candidate left, the smallest node outside the set)
+            grown[mask] = (~mask & mask + 1).bit_length() - 1 if best is None else best
+        answers = iter([first_better(base, cands, remaining, current) for (base, current, remaining, *_), cands
+                        in zip(scans, found[len(masks):])])
+        return [None if current is None else next(answers) for _, current, *_ in requests]
+
+    def exchange(base, current, remaining, j):
+        """An exchange scan answered from the memos, as serve would answer
+        it, or False when it needs a bound or a sigma_min not yet computed.
+        Its candidates are remaining[j:]."""
+        if base not in bounds:
+            return False
+        if base not in listed:
+            listed[base] = bounds[base].tolist()
+        row, floor = listed[base], (current + TIE_TOL) ** 2
+        found = [p for p, c in enumerate(remaining[j:], j) if row[c] > floor]
+        for p in found:
+            if base | 1 << remaining[p] not in sigma:
+                return False
+        return first_better(base, found, remaining, current)
+
     def one_run(start):
+        """One restart from start, a generator: each scan the memos cannot
+        answer is one request to serve, and it is sent the answer."""
         chosen, mask = [start], 1 << start
         remaining = [i for i in range(n) if i != start]
-        if m == 1:  # no growth step scores the one-node set
-            yield from scan([], 0, chosen)
         for _ in range(m - 1):
-            best_i, best_sigma = 0, -1.0
-            for i, s in zip(*(yield from scan(chosen, mask, remaining))):
-                if s > best_sigma + TIE_TOL:
-                    best_i, best_sigma = i, s
-            chosen.append(remaining.pop(best_i))
+            if mask not in grown:
+                yield mask, None
+            chosen.append(grown[mask])
+            remaining.remove(chosen[-1])
             mask |= 1 << chosen[-1]
         improved = True
         while improved and remaining:
@@ -430,35 +507,40 @@ def greedy_sampling_set(basis: BgftBasis, omega: BandSupport, m: int) -> Samplin
             current = sigma[mask]
             for pos in range(m):
                 j = 0
-                while j < len(remaining):
-                    live, trial = yield from scan(chosen, mask, remaining[j:], pos,
-                                                  (current + TIE_TOL) ** 2)
-                    hit = next((t for t, s in enumerate(trial) if s > current + TIE_TOL), None)
-                    if hit is None:
+                while j < len(remaining) and mask | chosen[pos] << n not in stuck:
+                    out = chosen[pos]
+                    base = mask & ~(1 << out)
+                    p = exchange(base, current, remaining, j)
+                    if p is False:
+                        p = yield base, current, remaining, j, out
+                    if p is None:  # no candidate left improves on current
+                        if j == 0:
+                            stuck.add(mask | out << n)
                         break
                     # Swap: the old node rejoins the candidates at the end,
-                    # and the scan resumes at the next index of the updated
-                    # list (the order of an in-place iteration over it).
-                    j += live[hit]
-                    old, chosen[pos] = chosen[pos], remaining.pop(j)
-                    remaining.append(old)
-                    mask = mask & ~(1 << old) | 1 << chosen[pos]
-                    current = trial[hit]
-                    improved = True
-                    j += 1
+                    # and the scan resumes after the position it took (the
+                    # order of an in-place iteration over the list).
+                    chosen[pos] = remaining.pop(p)
+                    remaining.append(out)
+                    mask, improved, j = base | 1 << chosen[pos], True, p + 1
+                    current = sigma[mask]
         return chosen, sigma[mask]
 
-    # Rounds: every live run makes its next request, then all are served.
-    runs, results = {start: one_run(start) for start in range(n)}, [None] * n
-    while runs:
-        requests = []
-        for start, run in list(runs.items()):
+    if m == 1:  # no growth step scores the one-node sets the exchanges start from
+        score([1 << start for start in range(n)])
+    # Rounds: every live run is sent its answer and states its next request,
+    # and the round's requests are served together.
+    runs, results = [one_run(start) for start in range(n)], [None] * n
+    active, answers = list(range(n)), [None] * n
+    while active:
+        requests, still = [], []
+        for start, answer in zip(active, answers):
             try:
-                requests.append(run.send(None))
+                requests.append(runs[start].send(answer))
+                still.append(start)
             except StopIteration as done:
                 results[start] = done.value
-                del runs[start]
-        serve(requests)
+        active, answers = still, serve(requests)
 
     best_set, best_val = None, -1.0
     for chosen, val in results:

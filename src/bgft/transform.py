@@ -95,7 +95,8 @@ class FilterSpec:
     """Scalar spectral response: response(basis) is h(lambda) at each
     eigenvalue, in the basis's mode order.  Constructors:
       heat(tau):          h(lambda) = exp(-tau * (1 - lambda)), finite tau >= 0,
-                          with Re(1 - lambda) clamped at 0
+                          with Re(1 - lambda) clamped at 0 and mode 0's
+                          lambda taken as exactly 1
       ideal_lowpass(k):   1 on the k slowest modes (the first k), else 0
       custom(samples):    finite 1-d table h(lambda_k), one per mode, in mode order
     """
@@ -112,6 +113,10 @@ class FilterSpec:
             # Re(1 - lambda) >= 0 as |lambda| <= 1: roundoff may not grow a mode.
             rate = 1.0 - basis.eigenvalues
             rate.real = np.maximum(rate.real, 0.0)
+            # Mode 0 is the Perron mode: lambda = 1 exactly, as P 1 = 1, so
+            # the filter keeps constants for every tau, where the route's
+            # lambda, off 1 by roundoff, would decay them at a huge tau.
+            rate[0] = 0.0
             # tau * rate may overflow to inf for a huge tau; e^{-inf} = 0 is
             # then the exact limit.
             with np.errstate(over="ignore"):

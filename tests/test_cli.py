@@ -1,5 +1,6 @@
 import json
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -570,6 +571,20 @@ class TestTable1:
         out2 = tmp_path / "flag.csv"
         run(["table1", "--format", "csv", "--seed", "17"], out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_module_runs_as_main(monkeypatch, capsys):
+    # `python -m bgft.cli ARGS` exits with main's status and prints its output.
+    argv = ["indices", "--graph", "directed-cycle", "--n", "5"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["bgft", *argv])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as done:
+        # runpy warns that bgft.cli, imported above, is run afresh.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("bgft.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == want
 
 
 def test_import_loads_no_scipy():

@@ -432,15 +432,22 @@ class TestGreedySearch:
         basis = bgft.decompose(bgft.transition(random_digraph(16, 900)))
         omega = bgft.select_band(basis, 4)
         seen = []  # the node set of every row set passed to the scorer
-        sigma_min = bgft.sampling._sigma_min
+        bases = []  # the node set of every base passed to the bounds
+        sigma_min, bound = bgft.sampling._sigma_min, bgft.sampling._sigma_min_sq_bounds
 
         def counting_sigma_min(v_o, rows):
             seen.extend(frozenset(r) for r in rows.tolist())
             return sigma_min(v_o, rows)
 
+        def counting_bounds(v_o, rows, sq=None):
+            bases.extend(frozenset(r) for r in np.asarray(rows).tolist())
+            return bound(v_o, rows, sq)
+
         monkeypatch.setattr(bgft.sampling, "_sigma_min", counting_sigma_min)
+        monkeypatch.setattr(bgft.sampling, "_sigma_min_sq_bounds", counting_bounds)
         bgft.greedy_sampling_set(basis, omega, m)
         assert seen and len(set(seen)) == len(seen)
+        assert bases and len(set(bases)) == len(bases)
 
     def test_search_keeps_no_state(self):
         # The memo lives and dies with one call: nothing is cached on the

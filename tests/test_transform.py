@@ -241,11 +241,27 @@ class TestFilters:
         h = bgft.filter_matrix(basis, FilterSpec.heat(0.0))
         assert np.linalg.norm(h - np.eye(64)) <= 1e-10 * 64
 
-    def test_heat_passes_constant(self, canonical_bases):
-        _, basis = canonical_bases["perturbed"]
-        ones = np.ones(64)
-        out = bgft.apply_filter(basis, FilterSpec.heat(2.0), ones)
-        assert np.linalg.norm(out - ones) <= 1e-8 * np.sqrt(64)
+    def test_heat_passes_constant(self, canonical_bases, property_suite):
+        # exp(-tau (I - P)) 1 = 1 for every tau: mode 0's lambda is exactly 1,
+        # however far off 1 by roundoff the route returns it (1 - 2.2e-16 by
+        # eigh on the undirected cycle, which lost 0.2 of 1 at tau = 1e15).
+        for _, basis in [*canonical_bases.values(), *property_suite]:
+            ones = np.ones(basis.n)
+            for tau in (2.0, 1e12, 1e15, 1e308):
+                out = bgft.apply_filter(basis, FilterSpec.heat(tau), ones)
+                assert np.max(np.abs(out - ones)) <= 1e-13 * basis.cond_v, (tau, basis.n)
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_heat_passes_constant_on_large_cycles(self, n):
+        # What is left is the Perron column's own roundoff (its relative
+        # spread grows with n on the undirected cycle).
+        for g in (bgft.undirected_cycle(n),
+                  bgft.add_directed_chord(bgft.directed_cycle(n), 20, 0, n // 2)):
+            basis = bgft.decompose(bgft.transition(g))
+            ones = np.ones(n)
+            for tau in (2.0, 1e12, 1e15, 1e308):
+                out = bgft.apply_filter(basis, FilterSpec.heat(tau), ones)
+                assert np.max(np.abs(out - ones)) <= 1e-12, tau
 
     @pytest.mark.parametrize("tau", [1e12, 1e15, 1e17])
     def test_heat_never_amplifies(self, tau, canonical_bases):
@@ -259,9 +275,8 @@ class TestFilters:
     def test_heat_huge_tau_is_the_exact_limit(self, canonical_bases):
         # tau * (1 - lambda) overflows to inf, and e^{-inf} = 0 exactly: the
         # response keeps the mode at lambda = 1 and no other, with no numpy
-        # warning.  (On these two bases dgeev and the split put that
-        # eigenvalue at or above 1; its rate is then clamped to 0.)
-        for name in ("directed", "perturbed"):
+        # warning, on every route (eigh puts that eigenvalue just below 1).
+        for name in ("undirected", "directed", "perturbed"):
             _, basis = canonical_bases[name]
             spec = FilterSpec.heat(1e308)
             with warnings.catch_warnings():
